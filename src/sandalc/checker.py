@@ -6,14 +6,20 @@ self-loop (stutter), so every maximal run is infinite and liveness questions
 are well-posed.
 
 Supported spec shapes are G(p), F(p), F(G(p)) and G(F(p)) with p
-propositional.  Safety runs a BFS (shortest counterexample); liveness searches
-for a counterexample lasso by depth-first cycle detection, nested for the
-F(G(p)) shape.  Under weak process fairness a lasso only counts if every
-process enabled somewhere on its loop also moves somewhere on the loop.
-Because loop unrolling makes every process automaton acyclic, all product
-cycles of lowered systems are stutter self-loops, where no process is enabled
-and fairness holds vacuously; the searches continue past an inadmissible loop
-but share visited-sets, which is complete for such self-loop cycles.
+propositional.  Lowering unrolls loops, so every process automaton is
+acyclic (checked before each search), and the only cycles of the product
+are the stutter self-loops at global deadlock.  Every run therefore ends by
+stuttering forever in one deadlocked state, and each pattern is a
+reachability question:
+
+* G(p) fails iff a !p state is reachable;
+* F(p) fails iff a deadlocked !p state is reachable through !p states only;
+* F(G(p)) and G(F(p)) fail iff a deadlocked !p state is reachable.
+
+One breadth-first search with parent pointers answers all four, so every
+counterexample is shortest: a finite path for G(p), and for the others that
+path plus one stutter step as the loop of a lasso.  Weak process fairness
+cannot change a verdict, since no process is enabled at a deadlock.
 
 Counterexamples are replayable: applying the recorded labels from the initial
 state reproduces the recorded states exactly.
@@ -24,6 +30,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 
 from . import ir
 from .ir import CompiledSystem, Transition
@@ -206,17 +213,6 @@ def successors(cs: CompiledSystem, state: GlobalState) -> list[Succ]:
     return out
 
 
-def enabled_processes(cs: CompiledSystem, state: GlobalState) -> set[int]:
-    enabled = set()
-    for i, automaton in enumerate(cs.automata):
-        proc = state.procs[i]
-        for t in automaton.by_src.get(proc.loc, ()):
-            if _eval(cs, t.guard, proc.vars, state.chans):
-                enabled.add(i)
-                break
-    return enabled
-
-
 # ---------------------------------------------------------------------------
 # Propositional evaluation
 
@@ -309,6 +305,7 @@ class Counterexample:
 class Verdict:
     result: Result
     counterexample: Counterexample | None = None
+    # Distinct states the search had discovered when it stopped.
     states_explored: int = 0
 
     @property
@@ -317,267 +314,109 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Search plumbing
+# Search: one breadth-first search serves every pattern
 
 
-class _Search:
-    """Caches the successor relation for the duration of one check."""
+def _require_acyclic(cs: CompiledSystem) -> None:
+    """Raise ValueError if a process automaton has a cycle.
 
-    def __init__(self, cs: CompiledSystem, max_states: int) -> None:
-        self.cs = cs
-        self.max_states = max_states
-        self.cache: dict[GlobalState, tuple[Succ, ...]] = {}
+    Deciding liveness by deadlock reachability is sound only when the stutter
+    self-loops are the sole cycles of the product, which holds when every
+    automaton is acyclic.
+    """
+    for automaton in cs.automata:
+        order = TopologicalSorter()
+        for t in automaton.transitions:
+            order.add(t.dst, t.src)
+        try:
+            order.prepare()
+        except CycleError as exc:
+            cycle = exc.args[1]  # locations in edge order, first == last
+            t = next(t for t in automaton.transitions if [t.src, t.dst] == cycle[:2])
+            raise ValueError(
+                f"process {automaton.name}: transition {t.src} -> {t.dst} ({t.label}) "
+                f"lies on the cycle {' -> '.join(map(str, cycle))}; "
+                "the checker needs acyclic automata"
+            ) from None
 
-    def succs(self, state: GlobalState) -> tuple[Succ, ...]:
-        cached = self.cache.get(state)
-        if cached is None:
-            cached = tuple(successors(self.cs, state))
-            self.cache[state] = cached
-        return cached
 
-    def step(self, succ: Succ) -> Step:
-        proc, label, state = succ
-        name = STUTTER_NAME if proc is None else self.cs.instance.processes[proc].name
-        return Step(proc=proc, proc_name=name, label=label, state=state)
+def _deadlocked(succs: list[Succ]) -> bool:
+    return len(succs) == 1 and succs[0][0] is None
 
-    def bfs(self, restrict=None):
-        """Reachability with parent pointers, optionally restricted to a predicate.
 
-        Returns (parents, init); parents maps state -> (previous state, step)
-        and covers init even when init fails the predicate.
-        """
-        init = initial_state(self.cs)
-        parents: dict[GlobalState, tuple[GlobalState, Succ] | None] = {init: None}
-        if restrict is not None and not restrict(init):
-            return parents, init
-        frontier = deque([init])
-        while frontier:
-            state = frontier.popleft()
-            for succ in self.succs(state):
-                nxt = succ[2]
-                if nxt in parents or (restrict is not None and not restrict(nxt)):
-                    continue
-                parents[nxt] = (state, succ)
-                if len(parents) > self.max_states:
-                    raise StateLimitExceeded(self.max_states)
-                frontier.append(nxt)
-        return parents, init
+def _path_to(cs: CompiledSystem, parents, state: GlobalState) -> tuple[Step, ...]:
+    steps: list[Step] = []
+    while parents[state] is not None:  # a path never stutters
+        state, (proc, label, nxt) = parents[state]
+        steps.append(Step(proc, cs.instance.processes[proc].name, label, nxt))
+    return tuple(reversed(steps))
 
-    def prefix_to(self, parents, state: GlobalState) -> tuple[Step, ...]:
-        steps: list[Step] = []
-        cur = state
-        while parents[cur] is not None:
-            prev, succ = parents[cur]
-            steps.append(self.step(succ))
-            cur = prev
-        steps.reverse()
-        return tuple(steps)
 
-    def admissible(self, loop: list[Step], head: GlobalState, fairness: bool) -> bool:
-        """Every process enabled at some loop state must step somewhere on it."""
-        if not fairness:
-            return True
-        states = [head] + [step.state for step in loop[:-1]]
-        enabled: set[int] = set()
-        for s in states:
-            enabled |= enabled_processes(self.cs, s)
-        steppers = {step.proc for step in loop if step.proc is not None}
-        return enabled <= steppers
+def _search(
+    cs: CompiledSystem, inside, target, lasso: bool, max_states: int
+) -> Verdict:
+    """Shortest path, through states satisfying `inside`, to a `target` state.
 
-    def find_cycle(self, roots, allowed, fairness: bool):
-        """DFS over the `allowed` subgraph; returns (head, loop steps) or None."""
-        visited: set[GlobalState] = set()
-        for root in roots:
-            if root in visited or not allowed(root):
+    `target(state, succs)` is tested when a state is expanded, with its
+    successors.  The path found is the counterexample; with `lasso`, one
+    stutter step at the target state closes it into a loop.
+    """
+    _require_acyclic(cs)
+    init = initial_state(cs)
+    parents: dict[GlobalState, tuple[GlobalState, Succ] | None] = {init: None}
+    frontier = deque([init] if inside(init) else ())
+    while frontier:
+        state = frontier.popleft()
+        succs = successors(cs, state)
+        if target(state, succs):
+            loop = (Step(None, STUTTER_NAME, STUTTER_LABEL, state),) if lasso else None
+            cex = Counterexample(init, _path_to(cs, parents, state), loop)
+            return Verdict(Result.FAIL, cex, len(parents))
+        for succ in succs:
+            nxt = succ[2]
+            if nxt in parents or not inside(nxt):
                 continue
-            visited.add(root)
-            on_stack: dict[GlobalState, int] = {root: 0}
-            path: list[Step] = []
-            stack = [(root, iter(self.succs(root)))]
-            while stack:
-                state, it = stack[-1]
-                advanced = False
-                for succ in it:
-                    nxt = succ[2]
-                    if not allowed(nxt):
-                        continue
-                    if nxt in on_stack:
-                        loop = path[on_stack[nxt] :] + [self.step(succ)]
-                        if self.admissible(loop, nxt, fairness):
-                            return nxt, loop
-                        continue
-                    if nxt in visited:
-                        continue
-                    visited.add(nxt)
-                    if len(visited) > self.max_states:
-                        raise StateLimitExceeded(self.max_states)
-                    on_stack[nxt] = len(path) + 1
-                    path.append(self.step(succ))
-                    stack.append((nxt, iter(self.succs(nxt))))
-                    advanced = True
-                    break
-                if not advanced:
-                    stack.pop()
-                    del on_stack[state]
-                    if path:
-                        path.pop()
-        return None
-
-    def nested_cycle_search(self, init: GlobalState, accepting, fairness: bool):
-        """Nested DFS: find a reachable cycle through an accepting state.
-
-        Outer DFS explores the full graph; when an accepting state is about to
-        be retired, an inner DFS looks for a way back onto the outer stack,
-        which closes a cycle through that accepting state.
-        """
-        flagged: set[GlobalState] = set()
-        visited: set[GlobalState] = {init}
-        on_stack: dict[GlobalState, int] = {init: 0}
-        path: list[Step] = []
-        stack = [(init, iter(self.succs(init)))]
-        while stack:
-            state, it = stack[-1]
-            advanced = False
-            for succ in it:
-                nxt = succ[2]
-                if nxt in visited:
-                    continue
-                visited.add(nxt)
-                if len(visited) > self.max_states:
-                    raise StateLimitExceeded(self.max_states)
-                on_stack[nxt] = len(path) + 1
-                path.append(self.step(succ))
-                stack.append((nxt, iter(self.succs(nxt))))
-                advanced = True
-                break
-            if advanced:
-                continue
-            if accepting(state):
-                found = self._inner_search(state, on_stack, path, flagged, fairness)
-                if found is not None:
-                    return found
-            stack.pop()
-            del on_stack[state]
-            if path:
-                path.pop()
-        return None
-
-    def _inner_search(self, seed, on_stack, outer_path, flagged, fairness):
-        """Look for a path from `seed` back to the outer DFS stack."""
-        if seed in flagged:
-            return None
-        flagged.add(seed)
-        inner_path: list[Step] = []
-        stack = [(seed, iter(self.succs(seed)))]
-        while stack:
-            state, it = stack[-1]
-            advanced = False
-            for succ in it:
-                nxt = succ[2]
-                if nxt in on_stack:
-                    # Cycle: nxt ->(outer stack)-> seed ->(inner path)-> nxt.
-                    loop = (
-                        outer_path[on_stack[nxt] :]
-                        + inner_path
-                        + [self.step(succ)]
-                    )
-                    if self.admissible(loop, nxt, fairness):
-                        return nxt, loop
-                    continue
-                if nxt in flagged:
-                    continue
-                flagged.add(nxt)
-                inner_path.append(self.step(succ))
-                stack.append((nxt, iter(self.succs(nxt))))
-                advanced = True
-                break
-            if not advanced:
-                stack.pop()
-                if inner_path:
-                    inner_path.pop()
-        return None
-
-
-# ---------------------------------------------------------------------------
-# Safety: G(p) by breadth-first reachability
+            parents[nxt] = (state, succ)
+            if len(parents) > max_states:
+                raise StateLimitExceeded(max_states)
+            frontier.append(nxt)
+    return Verdict(Result.PASS, None, len(parents))
 
 
 def check_safety(
     cs: CompiledSystem, prop: Prop, max_states: int = DEFAULT_MAX_STATES
 ) -> Verdict:
-    search = _Search(cs, max_states)
-    init = initial_state(cs)
-    if not eval_prop(prop, init):
-        return Verdict(Result.FAIL, Counterexample(init, (), None), 1)
-    parents: dict[GlobalState, tuple[GlobalState, Succ] | None] = {init: None}
-    frontier = deque([init])
-    while frontier:
-        state = frontier.popleft()
-        for succ in search.succs(state):
-            nxt = succ[2]
-            if nxt in parents:
-                continue
-            parents[nxt] = (state, succ)
-            if len(parents) > max_states:
-                raise StateLimitExceeded(max_states)
-            if not eval_prop(prop, nxt):
-                cex = Counterexample(init, search.prefix_to(parents, nxt), None)
-                return Verdict(Result.FAIL, cex, len(parents))
-            frontier.append(nxt)
-    return Verdict(Result.PASS, None, len(parents))
-
-
-# ---------------------------------------------------------------------------
-# Liveness: F(p), FG(p), GF(p) by lasso search
+    """G(p) fails iff a !p state is reachable; the trace is a shortest path to one."""
+    target = lambda s, succs: not eval_prop(prop, s)
+    return _search(cs, lambda s: True, target, lasso=False, max_states=max_states)
 
 
 def check_liveness(
-    cs: CompiledSystem,
-    pattern: str,
-    prop: Prop,
-    fairness: bool = True,
-    max_states: int = DEFAULT_MAX_STATES,
+    cs: CompiledSystem, pattern: str, prop: Prop, max_states: int = DEFAULT_MAX_STATES
 ) -> Verdict:
-    """Search for an admissible counterexample lasso of the given pattern.
+    """Search for a shortest lasso that stutters forever in a deadlocked !p state.
 
-    F(p): a run never reaching p — prefix and loop entirely in !p states.
-    FG(p): a run with infinitely many !p states — a loop through a !p state.
-    GF(p): a run eventually avoiding p forever — a loop with no p state.
+    F(p): the deadlock must be reached through !p states only.
+    FG(p), GF(p): any reachable deadlocked !p state will do.
     """
-    search = _Search(cs, max_states)
     notp = lambda s: not eval_prop(prop, s)
     if pattern == "F":
-        parents, init = search.bfs(restrict=notp)
-        if not notp(init):
-            return Verdict(Result.PASS, None, 1)
-        found = search.find_cycle(list(parents), notp, fairness)
-    elif pattern == "GF":
-        parents, init = search.bfs()
-        roots = [s for s in parents if notp(s)]
-        found = search.find_cycle(roots, notp, fairness)
-    elif pattern == "FG":
-        parents, init = search.bfs()
-        found = search.nested_cycle_search(init, notp, fairness)
+        inside, target = notp, lambda s, succs: _deadlocked(succs)
+    elif pattern in ("FG", "GF"):
+        inside, target = lambda s: True, lambda s, succs: _deadlocked(succs) and notp(s)
     else:
         raise UnsupportedFormula(f"not a liveness pattern: {pattern}")
-    if found is None:
-        return Verdict(Result.PASS, None, len(parents))
-    head, loop = found
-    cex = Counterexample(init, search.prefix_to(parents, head), tuple(loop))
-    return Verdict(Result.FAIL, cex, len(parents))
+    return _search(cs, inside, target, lasso=True, max_states=max_states)
 
 
 def check_spec(
-    cs: CompiledSystem,
-    spec: ResolvedSpec,
-    fairness: bool = True,
-    max_states: int = DEFAULT_MAX_STATES,
+    cs: CompiledSystem, spec: ResolvedSpec, max_states: int = DEFAULT_MAX_STATES
 ) -> Verdict:
     """Dispatch a resolved spec to the safety or liveness checker."""
     pattern, prop = extract_pattern(spec.formula)
     if pattern == "G":
         return check_safety(cs, prop, max_states)
-    return check_liveness(cs, pattern, prop, fairness, max_states)
+    return check_liveness(cs, pattern, prop, max_states)
 
 
 # ---------------------------------------------------------------------------

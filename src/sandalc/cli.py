@@ -2,7 +2,7 @@
 
 Exit codes: 0 success / all properties hold; 1 a property fails (the
 counterexample is printed); 2 usage, lexical, parse or type error; 3 a
-resource limit was hit.
+resource limit was hit; 4 internal error (a one-line message on stderr).
 """
 
 from __future__ import annotations
@@ -26,6 +26,17 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
 EXIT_LIMIT = 3
+EXIT_INTERNAL = 4
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _arg_parser() -> argparse.ArgumentParser:
@@ -38,8 +49,10 @@ def _arg_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="verify the model's ltl properties")
     check.add_argument("input", help="model source file (.sandal)")
     check.add_argument("--fairness", choices=("on", "off"), default="on",
-                       help="weak process fairness for liveness (default on)")
-    check.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES,
+                       help="accepted for compatibility; no effect on verdicts, "
+                            "since every run ends in a deadlock where no process "
+                            "is enabled (compile --fairness sets JUSTICE lines)")
+    check.add_argument("--max-states", type=_positive_int, default=DEFAULT_MAX_STATES,
                        help="abort after exploring this many states")
     check.add_argument("--property", type=int, default=None, metavar="N",
                        help="check only the N-th ltl block (1-based)")
@@ -98,11 +111,7 @@ def _cmd_check(args) -> int:
     for index, spec in selected:
         print(f"property {index}: {spec.text}")
         try:
-            verdict = check_spec(
-                built.woven, spec,
-                fairness=args.fairness == "on",
-                max_states=args.max_states,
-            )
+            verdict = check_spec(built.woven, spec, max_states=args.max_states)
         except UnsupportedFormula as exc:
             print(f"{args.input}: property {index}: {exc}", file=sys.stderr)
             return EXIT_ERROR
@@ -145,6 +154,9 @@ def run(argv: list[str] | None = None) -> int:
         return _cmd_dump_ir(args)
     except _CliError as exc:
         return exc.code
+    except Exception as exc:  # last resort: never show a traceback, never exit 1
+        print(f"sandalc: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -8,8 +8,9 @@ intermediate location, a receive is a single transition, and the sender's
 final step resets the flags so the channel can be reused.
 
 Loops are unrolled (array bindings are static after instantiation), so every
-automaton is acyclic: each transition advances its process to a strictly
-later location.
+automaton is acyclic: no transition leads back to a location its process has
+already left.  Location numbers follow first appearance, not a topological
+order: a branch that joins an earlier branch's exit jumps to a lower number.
 """
 
 from __future__ import annotations

@@ -95,6 +95,29 @@ def test_state_limit_exit_code(paths, capsys):
     assert "bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound", ["-5", "0"])
+def test_max_states_below_one_is_usage_error(paths, bound, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["check", paths["2pc_nofault"], "--max-states", bound])
+    assert exc.value.code == 2
+    assert "expected an integer >= 1" in capsys.readouterr().err
+
+
+def test_internal_error_exit_code(tmp_path, capsys):
+    model = tmp_path / "deep.sandal"
+    model.write_text(
+        "proc P() { var x bool\n  x = " + "!" * 5000 + "x }\n"
+        "init { p: P() }\n"
+        "ltl { G (p.x) }\n"
+    )
+    code = run(["check", str(model)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err.startswith("sandalc: internal error:")
+    assert len(captured.err.splitlines()) == 1
+    assert "FAIL" not in captured.out
+
+
 def test_property_selector(paths, capsys):
     assert run(["check", paths["2pc_nofault"], "--property", "1"]) == 0
     assert run(["check", paths["2pc_nofault"], "--property", "2"]) == 2
