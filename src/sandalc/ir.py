@@ -145,6 +145,9 @@ class APop:
 
 Action = ASetVar | ABeginSend | AFinishSend | AMarkReceived | APush | APop
 
+# One outgoing edge of a branch: (guard, actions, kind, tag).
+_Branch = tuple[IrExpr, tuple[Action, ...], str, str]
+
 
 # ---------------------------------------------------------------------------
 # Automata
@@ -208,9 +211,6 @@ class CompiledSystem:
 
     instance: SystemInstance
     automata: tuple[ProcessAutomaton, ...]
-
-    def channel_name(self, chan: int) -> str:
-        return self.instance.channels[chan].name
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +322,7 @@ class _Lowerer:
             if isinstance(binding, sema.LocalVar):
                 return EVar(binding.slot)
             if isinstance(binding, sema.ValueParam):
-                value = self.proc.const_bindings[binding.name]
-                return EBool(value) if isinstance(value, bool) else EEnum(value)
+                return _const_to_expr(self.proc.const_bindings[binding.name])
             assert isinstance(binding, sema.EnumConst)
             return EEnum(binding.ctor)
         if isinstance(expr, ast.Unary):
@@ -451,78 +450,53 @@ class _Lowerer:
         )
         return exit_
 
+    def _branches(self, cond: ast.Expr) -> tuple[str, _Branch, _Branch]:
+        """A condition's text and its taken and untaken edges."""
+        if not isinstance(cond, ast.RecvExpr):
+            guard = self.compile_expr(cond)
+            taken = (guard, (), "if.then", NORMAL)
+            return print_expr(cond), taken, (ENot(guard), (), "if.else", NORMAL)
+        chan = self.channel_of(cond.channel)
+        slots = self.info.target_slots[id(cond)]
+        text = f"{cond.form}({self.chan_name(chan)}, {', '.join(cond.targets)})"
+        guard = self._recv_guard(chan)
+        if cond.form == "timeout_recv":
+            taken = (guard, self._recv_actions(chan, slots), "timeout.ok", NORMAL)
+            # The failure branch is unconditionally enabled: delivery may miss
+            # its window even when a sender stands ready.
+            return text, taken, (TRUE, (), "timeout.fail", TIMEOUT)
+        taken = (guard, self._recv_actions(chan, slots), "nonblock.ok", NORMAL)
+        return text, taken, (ENot(guard), (), "nonblock.fail", NORMAL)
+
     def lower_recv_expr(
         self, expr: ast.RecvExpr, result_slot: int, lhs: str, pos: Pos, entry: int
     ) -> int:
-        """var/assign whose right-hand side is timeout_recv or nonblock_recv."""
-        chan = self.channel_of(expr.channel)
-        slots = self.info.target_slots[id(expr)]
-        desc = f"{lhs} = {expr.form}({self.chan_name(chan)}, {', '.join(expr.targets)})"
+        """var/assign whose right-hand side is timeout_recv or nonblock_recv:
+        both branches join at once and store the outcome in the result slot."""
+        text, taken, untaken = self._branches(expr)
+        desc = f"{lhs} = {text}"
         exit_ = self.builder.fresh()
-        guard = self._recv_guard(chan)
-        ok_actions = self._recv_actions(chan, slots) + (ASetVar(result_slot, TRUE),)
-        kind = "timeout" if expr.form == "timeout_recv" else "nonblock"
-        self.builder.add(entry, exit_, guard, ok_actions, f"{kind}.ok", desc, pos)
-        if expr.form == "timeout_recv":
-            # The failure branch is unconditionally enabled: delivery may miss
-            # its window even when a sender stands ready.
-            fail_guard: IrExpr = TRUE
-            tag = TIMEOUT
-        else:
-            fail_guard = ENot(guard)
-            tag = NORMAL
-        self.builder.add(
-            entry, exit_, fail_guard, (ASetVar(result_slot, EBool(False)),),
-            f"{kind}.fail", desc, pos, tag=tag,
-        )
+        for (guard, actions, kind, tag), result in ((taken, True), (untaken, False)):
+            stored = actions + (ASetVar(result_slot, EBool(result)),)
+            self.builder.add(entry, exit_, guard, stored, kind, desc, pos, tag)
         return exit_
 
     def lower_if(self, stmt: ast.If, entry: int) -> int:
-        if isinstance(stmt.cond, ast.RecvExpr):
-            return self.lower_if_recv(stmt, entry)
-        cond = self.compile_expr(stmt.cond)
-        desc = f"if {print_expr(stmt.cond)}"
-        then_entry = self.builder.fresh()
-        self.builder.add(entry, then_entry, cond, (), "if.then", desc, stmt.pos)
-        exit_ = self.lower_block(stmt.then, then_entry)
-        if stmt.els is None:
-            self.builder.add(entry, exit_, ENot(cond), (), "if.else", desc, stmt.pos)
-        else:
-            else_entry = self.builder.fresh()
-            self.builder.add(entry, else_entry, ENot(cond), (), "if.else", desc, stmt.pos)
-            else_exit = self.lower_block(stmt.els, else_entry)
-            self.builder.merge(else_exit, exit_)
-        return exit_
+        text, taken, untaken = self._branches(stmt.cond)
 
-    def lower_if_recv(self, stmt: ast.If, entry: int) -> int:
-        """if with a receive-expression condition: branch on delivery."""
-        expr = stmt.cond
-        chan = self.channel_of(expr.channel)
-        slots = self.info.target_slots[id(expr)]
-        desc = f"if {expr.form}({self.chan_name(chan)}, {', '.join(expr.targets)})"
-        guard = self._recv_guard(chan)
+        def branch(dst: int, edge: _Branch) -> None:
+            guard, actions, kind, tag = edge
+            self.builder.add(entry, dst, guard, actions, kind, f"if {text}", stmt.pos, tag)
+
         then_entry = self.builder.fresh()
-        kind = "timeout" if expr.form == "timeout_recv" else "nonblock"
-        self.builder.add(
-            entry, then_entry, guard, self._recv_actions(chan, slots),
-            f"{kind}.ok", desc, stmt.pos,
-        )
+        branch(then_entry, taken)
         exit_ = self.lower_block(stmt.then, then_entry)
-        if expr.form == "timeout_recv":
-            fail_guard: IrExpr = TRUE
-            tag = TIMEOUT
-        else:
-            fail_guard = ENot(guard)
-            tag = NORMAL
         if stmt.els is None:
-            self.builder.add(entry, exit_, fail_guard, (), f"{kind}.fail", desc, stmt.pos, tag=tag)
+            branch(exit_, untaken)
         else:
             else_entry = self.builder.fresh()
-            self.builder.add(
-                entry, else_entry, fail_guard, (), f"{kind}.fail", desc, stmt.pos, tag=tag
-            )
-            else_exit = self.lower_block(stmt.els, else_entry)
-            self.builder.merge(else_exit, exit_)
+            branch(else_entry, untaken)
+            self.builder.merge(self.lower_block(stmt.els, else_entry), exit_)
         return exit_
 
     def lower_for(self, stmt: ast.For, entry: int) -> int:
@@ -562,12 +536,8 @@ def lower_process(system: SystemInstance, proc_index: int) -> ProcessAutomaton:
     lowerer = _Lowerer(system, proc)
     builder = lowerer.builder
     entry = builder.fresh()
-    body = system.template_info(proc).template.body
-    if body.stmts:
-        terminal = lowerer.lower_block(body, entry)
-    else:
-        # A degenerate empty body still needs a step so entry != terminal.
-        terminal = lowerer.lower_block(ast.Block(stmts=(), pos=body.pos), entry)
+    # An empty body lowers to one noop step, so entry != terminal.
+    terminal = lowerer.lower_block(system.template_info(proc).template.body, entry)
     return builder.build(proc.name, entry, terminal, tuple(lowerer.info.slots))
 
 

@@ -4,6 +4,13 @@ Statement separators are semicolons, real or newline-inserted (see lexer).
 Comma-separated lists (init entries, data constructors, arguments, parameters)
 skip newline-inserted separators so entries may span lines, but still require
 the commas themselves.
+
+Nesting is bounded: a block, a parenthesized expression, the operand of `!`,
+`G` or `F`, the right side of `->`, an `else if` and a channel payload type
+each open one level, and more than 64 open levels is a ParseError.  Every
+later stage recurses over the tree, so the bound keeps nested constructs
+within Python's stack.  Left-associative chains (`a && b && ...`) open no
+level: a wide model's specs chain one conjunct per process.
 """
 
 from __future__ import annotations
@@ -12,11 +19,14 @@ from .errors import ParseError, Pos
 from .lexer import Token, TokenKind, tokenize
 from . import syntax as ast
 
+_MAX_NESTING = 64
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.i = 0
+        self.depth = 0  # open nesting levels
 
     # -- token plumbing ----------------------------------------------------
 
@@ -46,6 +56,15 @@ class _Parser:
         if not self.at_ident():
             raise ParseError(f"expected identifier {context}, found {self.cur}", self.cur.pos)
         return self.advance()
+
+    def enter(self, tok: Token) -> None:
+        """Open one nesting level at `tok`; close it with `leave`."""
+        if self.depth == _MAX_NESTING:
+            raise ParseError(f"nesting is deeper than {_MAX_NESTING} levels", tok.pos)
+        self.depth += 1
+
+    def leave(self) -> None:
+        self.depth -= 1
 
     def skip_newlines(self) -> None:
         """Skip newline-inserted separators (used inside comma lists)."""
@@ -219,7 +238,9 @@ class _Parser:
                 raise ParseError("buffer capacity must be at least 1", num.pos)
             self.expect("]", "after the buffer capacity")
         self.expect("{", "to open the channel payload type")
+        self.enter(kw)
         payload = self.comma_list(self.parse_type, "}")
+        self.leave()
         if not payload:
             raise ParseError("channel type has an empty payload list", kw.pos)
         for ty in payload:
@@ -232,6 +253,7 @@ class _Parser:
 
     def parse_block(self) -> ast.Block:
         open_tok = self.expect("{", "to open a block")
+        self.enter(open_tok)
         stmts: list[ast.Stmt] = []
         self.skip_separators()
         while not self.at("}"):
@@ -244,6 +266,7 @@ class _Parser:
                     self.cur.pos,
                 )
         self.expect("}", "to close the block")
+        self.leave()
         return ast.Block(stmts=tuple(stmts), pos=open_tok.pos)
 
     def parse_stmt(self) -> ast.Stmt:
@@ -337,7 +360,9 @@ class _Parser:
         if self.at("else"):
             self.advance()
             if self.at("if"):
+                self.enter(self.cur)
                 nested = self.parse_if()
+                self.leave()
                 els = ast.Block(stmts=(nested,), pos=nested.pos)
             else:
                 els = self.parse_block()
@@ -371,7 +396,9 @@ class _Parser:
         left = self.parse_or(ltl)
         if self.at("->"):
             op = self.advance()
+            self.enter(op)
             right = self.parse_implies(ltl)  # right-associative
+            self.leave()
             return ast.Binary(op="->", left=left, right=right, pos=op.pos)
         return left
 
@@ -400,22 +427,25 @@ class _Parser:
         return left
 
     def parse_unary(self, ltl: bool) -> ast.Expr:
-        if self.at("!"):
+        if self.at("!") or (ltl and self.at_ident() and self.cur.text in ("G", "F")):
             op = self.advance()
-            return ast.Unary(op="!", operand=self.parse_unary(ltl), pos=op.pos)
-        if ltl and self.at_ident() and self.cur.text in ("G", "F"):
-            op = self.advance()
-            return ast.Temporal(op=op.text, operand=self.parse_unary(ltl), pos=op.pos)
+            self.enter(op)
+            operand = self.parse_unary(ltl)
+            self.leave()
+            if op.text == "!":
+                return ast.Unary(op="!", operand=operand, pos=op.pos)
+            return ast.Temporal(op=op.text, operand=operand, pos=op.pos)
         return self.parse_primary(ltl)
 
     def parse_primary(self, ltl: bool) -> ast.Expr:
         tok = self.cur
         if self.at("("):
-            self.advance()
+            self.enter(self.advance())
             self.skip_newlines()
             inner = self.parse_expr(ltl)
             self.skip_newlines()
             self.expect(")", "to close the parenthesized expression")
+            self.leave()
             return inner
         if self.at("true") or self.at("false"):
             self.advance()

@@ -1,10 +1,11 @@
 """Name resolution, type checking and system instantiation.
 
-resolve_and_check validates a ModelAST against the typing rules and records,
-per template, how every name and declaration resolves.  instantiate then
-closes the init-block into a SystemInstance: concrete channels, concrete
-processes with their channel bindings, and ltl formulas with atoms resolved
-to (process index, variable slot) pairs.
+resolve_and_check validates a ModelAST against the typing rules in one walk
+per construct.  For each template it records how every name and declaration
+resolves.  Checking the init-block binds it: it yields the concrete channels
+and the concrete processes with their channel and value bindings.  Checking
+an ltl formula resolves it: its atoms become (process index, variable slot)
+pairs.  instantiate only packages these results into a SystemInstance.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 
 from . import syntax as ast
 from .errors import ArityError, NameResolutionError, Pos, TypeCheckError
+from .pretty import print_expr
 
 Value = bool | str  # runtime values: booleans and enum constructor names
 
@@ -134,15 +136,6 @@ class TemplateInfo:
     decl_slots: dict[int, int] = field(default_factory=dict)  # id(VarDecl) -> slot
     target_slots: dict[int, tuple[int, ...]] = field(default_factory=dict)
     assign_slots: dict[int, int] = field(default_factory=dict)
-    expr_types: dict[int, object] = field(default_factory=dict)  # id(Expr) -> type
-
-
-@dataclass
-class CheckedModel:
-    ast: ast.ModelAST
-    enums: dict[str, EnumType]
-    constructors: dict[str, EnumType]
-    templates: dict[str, TemplateInfo]
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +203,7 @@ class PTemporal(Prop):
 
 
 # ---------------------------------------------------------------------------
-# System instances
+# Checked models and system instances
 
 
 @dataclass(frozen=True)
@@ -233,6 +226,17 @@ class ProcessDecl:
 class ResolvedSpec:
     formula: Prop
     text: str  # rendering of the original formula
+
+
+@dataclass
+class CheckedModel:
+    ast: ast.ModelAST
+    enums: dict[str, EnumType]
+    constructors: dict[str, EnumType]
+    templates: dict[str, TemplateInfo]
+    channels: tuple[ChannelDecl, ...]  # init-block channels, in order
+    processes: tuple[ProcessDecl, ...]  # init-block processes, in order
+    ltl_specs: tuple[ResolvedSpec, ...]
 
 
 @dataclass(frozen=True)
@@ -271,6 +275,29 @@ def _type_from_node(node: ast.TypeNode, enums: dict[str, EnumType]):
     if isinstance(node, ast.ChanArrayTypeNode):
         return ChannelArrayType(elem=_chan_type_from_node(node.elem, enums))
     return _value_type_from_node(node, enums)
+
+
+def _op_type(op: str, operands: tuple, pos: Pos) -> BoolType:
+    """Typing rule of every operator, in templates and ltl formulas alike."""
+    if op in ("!", "G", "F"):
+        (sub,) = operands
+        if sub != BOOL:
+            what = "operand" if op == "!" else "formula"
+            raise TypeCheckError(f"'{op}' needs a bool {what}, got {sub}", pos)
+        return BOOL
+    left, right = operands
+    if op in ("&&", "||", "->"):
+        if left != BOOL or right != BOOL:
+            raise TypeCheckError(
+                f"'{op}' needs bool operands, got {left} and {right}", pos
+            )
+        return BOOL
+    # == / !=
+    if not isinstance(left, (BoolType, EnumType)):
+        raise TypeCheckError(f"cannot compare values of type {left}", pos)
+    if left != right:
+        raise TypeCheckError(f"cannot compare {left} with {right}", pos)
+    return BOOL
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +398,7 @@ class _TemplateChecker:
                     stmt.pos,
                 )
             for value, expected in zip(stmt.values, chan.payload):
-                got = self._check_expr(value)
+                got = self._expr_type(value)
                 if got != expected:
                     raise TypeCheckError(
                         f"cannot send {got} on a channel of {expected}", value.pos
@@ -392,14 +419,14 @@ class _TemplateChecker:
             if isinstance(stmt.cond, ast.RecvExpr):
                 self._check_recv_expr(stmt.cond)
             else:
-                cond_ty = self._check_expr(stmt.cond)
+                cond_ty = self._expr_type(stmt.cond)
                 if cond_ty != BOOL:
                     raise TypeCheckError(f"if condition must be bool, got {cond_ty}", stmt.pos)
             self._check_block(stmt.then)
             if stmt.els is not None:
                 self._check_block(stmt.els)
         elif isinstance(stmt, ast.For):
-            iter_ty = self._check_expr(stmt.iterable)
+            iter_ty = self._expr_type(stmt.iterable)
             if not isinstance(iter_ty, ChannelArrayType):
                 raise TypeCheckError(
                     f"for iterates over a channel array, got {iter_ty}", stmt.pos
@@ -411,7 +438,7 @@ class _TemplateChecker:
             for block in stmt.blocks:
                 self._check_block(block)
         elif isinstance(stmt, ast.ExprStmt):
-            self._check_expr(stmt.expr)
+            self._expr_type(stmt.expr)
         else:
             raise TypeCheckError(f"unsupported statement {stmt!r}", stmt.pos)
 
@@ -438,7 +465,7 @@ class _TemplateChecker:
     def _check_rhs(self, expr: ast.Expr) -> ValueType:
         if isinstance(expr, ast.RecvExpr):
             return self._check_recv_expr(expr)
-        ty = self._check_expr(expr)
+        ty = self._expr_type(expr)
         if not isinstance(ty, (BoolType, EnumType)):
             raise TypeCheckError(f"expected a value, got {ty}", expr.pos)
         return ty
@@ -448,21 +475,15 @@ class _TemplateChecker:
         self.info.target_slots[id(expr)] = self._check_targets(
             expr.targets, chan, expr.pos
         )
-        self.info.expr_types[id(expr)] = BOOL
         return BOOL
 
     def _check_channel(self, expr: ast.Expr) -> ChannelType:
-        ty = self._check_expr(expr)
+        ty = self._expr_type(expr)
         if not isinstance(ty, ChannelType):
             raise TypeCheckError(f"expected a channel, got {ty}", expr.pos)
         return ty
 
     # -- expressions
-
-    def _check_expr(self, expr: ast.Expr):
-        ty = self._expr_type(expr)
-        self.info.expr_types[id(expr)] = ty
-        return ty
 
     def _expr_type(self, expr: ast.Expr):
         if isinstance(expr, ast.BoolLit):
@@ -470,11 +491,7 @@ class _TemplateChecker:
         if isinstance(expr, ast.Name):
             binding = self._lookup(expr.ident, expr.pos)
             self.info.resolutions[id(expr)] = binding
-            if isinstance(binding, (LocalVar, ValueParam, EnumConst)):
-                return binding.type
-            if isinstance(binding, (ChannelParam, LoopChannel)):
-                return binding.type
-            return binding.type  # ChannelArrayParam
+            return binding.type
         if isinstance(expr, ast.Qualified):
             raise TypeCheckError(
                 "instance-qualified names are only valid in ltl specs", expr.pos
@@ -492,25 +509,10 @@ class _TemplateChecker:
                 "array literals are only valid as process-instantiation arguments", expr.pos
             )
         if isinstance(expr, ast.Unary):
-            sub = self._check_expr(expr.operand)
-            if sub != BOOL:
-                raise TypeCheckError(f"'!' needs a bool operand, got {sub}", expr.pos)
-            return BOOL
+            return _op_type(expr.op, (self._expr_type(expr.operand),), expr.pos)
         if isinstance(expr, ast.Binary):
-            left = self._check_expr(expr.left)
-            right = self._check_expr(expr.right)
-            if expr.op in ("&&", "||", "->"):
-                if left != BOOL or right != BOOL:
-                    raise TypeCheckError(
-                        f"'{expr.op}' needs bool operands, got {left} and {right}", expr.pos
-                    )
-                return BOOL
-            # == / !=
-            if not isinstance(left, (BoolType, EnumType)):
-                raise TypeCheckError(f"cannot compare values of type {left}", expr.pos)
-            if left != right:
-                raise TypeCheckError(f"cannot compare {left} with {right}", expr.pos)
-            return BOOL
+            operands = (self._expr_type(expr.left), self._expr_type(expr.right))
+            return _op_type(expr.op, operands, expr.pos)
         raise TypeCheckError(f"unsupported expression {expr!r}", expr.pos)
 
 
@@ -519,7 +521,8 @@ class _TemplateChecker:
 
 
 def resolve_and_check(model: ast.ModelAST) -> CheckedModel:
-    """Resolve every identifier and type-check templates, init-block and specs."""
+    """Resolve and type-check templates, then bind the init-block and resolve
+    the specs against it."""
     enums: dict[str, EnumType] = {}
     constructors: dict[str, EnumType] = {}
     for decl in model.data_decls:
@@ -544,208 +547,99 @@ def resolve_and_check(model: ast.ModelAST) -> CheckedModel:
             raise NameResolutionError(f"duplicate process template '{tmpl.name}'", tmpl.pos)
         templates[tmpl.name] = _TemplateChecker(tmpl, enums, constructors).check()
 
-    checked = CheckedModel(
-        ast=model, enums=enums, constructors=constructors, templates=templates
-    )
-    _check_init_block(checked)
+    channels, processes = _bind_init_block(model, enums, constructors, templates)
+    procs = {p.name: (i, templates[p.template]) for i, p in enumerate(processes)}
+    specs = []
     for spec in model.ltl_specs:
-        _check_ltl(checked, spec)
-    return checked
+        formula, ty = _resolve_ltl(spec.formula, procs, constructors)
+        if ty != BOOL:
+            raise TypeCheckError(f"ltl formula must be bool, got {ty}", spec.pos)
+        specs.append(ResolvedSpec(formula=formula, text=print_expr(spec.formula)))
+    return CheckedModel(
+        ast=model,
+        enums=enums,
+        constructors=constructors,
+        templates=templates,
+        channels=channels,
+        processes=processes,
+        ltl_specs=tuple(specs),
+    )
 
 
-def _channel_entries(model: ast.ModelAST) -> dict[str, ast.InitEntry]:
-    return {e.name: e for e in model.init_block if not e.is_process}
-
-
-def _check_init_block(checked: CheckedModel) -> None:
-    model = checked.ast
+def _bind_init_block(
+    model: ast.ModelAST,
+    enums: dict[str, EnumType],
+    constructors: dict[str, EnumType],
+    templates: dict[str, TemplateInfo],
+) -> tuple[tuple[ChannelDecl, ...], tuple[ProcessDecl, ...]]:
+    """Check the init-block and close it into channels and processes."""
     names: set[str] = set()
     for entry in model.init_block:
         if entry.name in names:
             raise NameResolutionError(f"duplicate instance name '{entry.name}'", entry.pos)
         names.add(entry.name)
 
-    chan_types: dict[str, ChannelType] = {}
-    for name, entry in _channel_entries(model).items():
-        chan_types[name] = _chan_type_from_node(entry.payload.type, checked.enums)
+    channels = tuple(
+        ChannelDecl(
+            name=entry.name,
+            type=_chan_type_from_node(entry.payload.type, enums),
+            drop_fault="drop" in entry.markers,
+        )
+        for entry in model.init_block
+        if not entry.is_process
+    )
+    chan_index = {chan.name: i for i, chan in enumerate(channels)}
 
+    def channel_arg(arg: ast.Expr, expected: ChannelType) -> int:
+        if not isinstance(arg, ast.Name) or arg.ident not in chan_index:
+            raise TypeCheckError("expected the name of a declared channel", arg.pos)
+        index = chan_index[arg.ident]
+        actual = channels[index].type
+        if actual != expected:
+            raise TypeCheckError(
+                f"channel '{arg.ident}' has type {actual}, parameter needs {expected}",
+                arg.pos,
+            )
+        return index
+
+    processes: list[ProcessDecl] = []
     for entry in model.init_block:
         if not entry.is_process:
             continue
         inst = entry.payload
-        if inst.template not in checked.templates:
+        if inst.template not in templates:
             raise NameResolutionError(
                 f"unknown process template '{inst.template}'", entry.pos
             )
-        info = checked.templates[inst.template]
-        params = list(info.template.params)
+        info = templates[inst.template]
+        params = info.template.params
         if len(inst.args) != len(params):
             raise ArityError(
                 f"'{inst.template}' takes {len(params)} arguments, got {len(inst.args)}",
                 entry.pos,
             )
-        for arg, param in zip(inst.args, params):
-            binding = info.params[param.name]
-            _check_init_arg(checked, chan_types, arg, binding, entry.pos)
-
-
-def _require_channel_name(
-    chan_types: dict[str, ChannelType], arg: ast.Expr, expected: ChannelType
-) -> str:
-    if not isinstance(arg, ast.Name) or arg.ident not in chan_types:
-        raise TypeCheckError("expected the name of a declared channel", arg.pos)
-    actual = chan_types[arg.ident]
-    if actual != expected:
-        raise TypeCheckError(
-            f"channel '{arg.ident}' has type {actual}, parameter needs {expected}", arg.pos
-        )
-    return arg.ident
-
-
-def _check_init_arg(
-    checked: CheckedModel,
-    chan_types: dict[str, ChannelType],
-    arg: ast.Expr,
-    binding: Binding,
-    pos: Pos,
-) -> None:
-    if isinstance(binding, ChannelParam):
-        _require_channel_name(chan_types, arg, binding.type)
-    elif isinstance(binding, ChannelArrayParam):
-        if not isinstance(arg, ast.ArrayLit):
-            raise TypeCheckError(
-                "expected an array literal of channel names", getattr(arg, "pos", pos)
-            )
-        for elem in arg.elements:
-            _require_channel_name(chan_types, elem, binding.type.elem)
-    elif isinstance(binding, ValueParam):
-        value_ty = _const_expr_type(checked, arg)
-        if value_ty != binding.type:
-            raise TypeCheckError(
-                f"argument has type {value_ty}, parameter needs {binding.type}", arg.pos
-            )
-    else:  # pragma: no cover - params are always one of the above
-        raise TypeCheckError("unsupported parameter kind", pos)
-
-
-def _const_expr_type(checked: CheckedModel, arg: ast.Expr) -> ValueType:
-    if isinstance(arg, ast.BoolLit):
-        return BOOL
-    if isinstance(arg, ast.Name) and arg.ident in checked.constructors:
-        return checked.constructors[arg.ident]
-    raise TypeCheckError(
-        "value arguments must be literals or enum constructors", arg.pos
-    )
-
-
-def _const_expr_value(checked: CheckedModel, arg: ast.Expr) -> Value:
-    if isinstance(arg, ast.BoolLit):
-        return arg.value
-    assert isinstance(arg, ast.Name)
-    return arg.ident
-
-
-def _check_ltl(checked: CheckedModel, spec: ast.LtlSpec) -> None:
-    ty = _ltl_expr_type(checked, spec.formula)
-    if ty != BOOL:
-        raise TypeCheckError(f"ltl formula must be bool, got {ty}", spec.pos)
-
-
-def _process_entries(model: ast.ModelAST) -> dict[str, ast.InitEntry]:
-    return {e.name: e for e in model.init_block if e.is_process}
-
-
-def _ltl_atom_type(checked: CheckedModel, expr: ast.Qualified) -> ValueType:
-    entry = _process_entries(checked.ast).get(expr.instance)
-    if entry is None:
-        raise NameResolutionError(
-            f"ltl atom references unknown process instance '{expr.instance}'", expr.pos
-        )
-    info = checked.templates[entry.payload.template]
-    if expr.variable not in info.body_level:
-        raise NameResolutionError(
-            f"process '{expr.instance}' has no top-level variable '{expr.variable}'",
-            expr.pos,
-        )
-    return info.slots[info.body_level[expr.variable]].type
-
-
-def _ltl_expr_type(checked: CheckedModel, expr: ast.Expr):
-    if isinstance(expr, ast.BoolLit):
-        return BOOL
-    if isinstance(expr, ast.Qualified):
-        return _ltl_atom_type(checked, expr)
-    if isinstance(expr, ast.Name):
-        if expr.ident in checked.constructors:
-            return checked.constructors[expr.ident]
-        raise NameResolutionError(
-            f"ltl atoms must be instance-qualified variables or constants; "
-            f"unknown name '{expr.ident}'",
-            expr.pos,
-        )
-    if isinstance(expr, ast.Temporal):
-        sub = _ltl_expr_type(checked, expr.operand)
-        if sub != BOOL:
-            raise TypeCheckError(f"'{expr.op}' needs a bool formula, got {sub}", expr.pos)
-        return BOOL
-    if isinstance(expr, ast.Unary):
-        sub = _ltl_expr_type(checked, expr.operand)
-        if sub != BOOL:
-            raise TypeCheckError(f"'!' needs a bool operand, got {sub}", expr.pos)
-        return BOOL
-    if isinstance(expr, ast.Binary):
-        left = _ltl_expr_type(checked, expr.left)
-        right = _ltl_expr_type(checked, expr.right)
-        if expr.op in ("&&", "||", "->"):
-            if left != BOOL or right != BOOL:
-                raise TypeCheckError(
-                    f"'{expr.op}' needs bool operands, got {left} and {right}", expr.pos
-                )
-            return BOOL
-        if not isinstance(left, (BoolType, EnumType)) or left != right:
-            raise TypeCheckError(f"cannot compare {left} with {right}", expr.pos)
-        return BOOL
-    raise TypeCheckError("unsupported expression in ltl formula", getattr(expr, "pos", Pos(0, 0)))
-
-
-# ---------------------------------------------------------------------------
-# Instantiation
-
-
-def instantiate(checked: CheckedModel) -> SystemInstance:
-    """Close the init-block into concrete channels, processes and specs."""
-    model = checked.ast
-    channels: list[ChannelDecl] = []
-    chan_index: dict[str, int] = {}
-    for entry in model.init_block:
-        if entry.is_process:
-            continue
-        ty = _chan_type_from_node(entry.payload.type, checked.enums)
-        chan_index[entry.name] = len(channels)
-        channels.append(
-            ChannelDecl(name=entry.name, type=ty, drop_fault="drop" in entry.markers)
-        )
-
-    processes: list[ProcessDecl] = []
-    proc_index: dict[str, int] = {}
-    for entry in model.init_block:
-        if not entry.is_process:
-            continue
-        inst = entry.payload
-        info = checked.templates[inst.template]
         chan_bindings: dict[str, int | tuple[int, ...]] = {}
         const_bindings: dict[str, Value] = {}
-        for arg, param in zip(inst.args, info.template.params):
+        for arg, param in zip(inst.args, params):
             binding = info.params[param.name]
             if isinstance(binding, ChannelParam):
-                chan_bindings[param.name] = chan_index[arg.ident]
+                chan_bindings[param.name] = channel_arg(arg, binding.type)
             elif isinstance(binding, ChannelArrayParam):
+                if not isinstance(arg, ast.ArrayLit):
+                    raise TypeCheckError(
+                        "expected an array literal of channel names", arg.pos
+                    )
                 chan_bindings[param.name] = tuple(
-                    chan_index[e.ident] for e in arg.elements
+                    channel_arg(elem, binding.type.elem) for elem in arg.elements
                 )
             else:
-                const_bindings[param.name] = _const_expr_value(checked, arg)
-        proc_index[entry.name] = len(processes)
+                value, value_ty = _const_value(constructors, arg)
+                if value_ty != binding.type:
+                    raise TypeCheckError(
+                        f"argument has type {value_ty}, parameter needs {binding.type}",
+                        arg.pos,
+                    )
+                const_bindings[param.name] = value
         processes.append(
             ProcessDecl(
                 name=entry.name,
@@ -755,53 +649,74 @@ def instantiate(checked: CheckedModel) -> SystemInstance:
                 shutdown_fault="shutdown" in entry.markers,
             )
         )
+    return channels, tuple(processes)
 
-    specs = tuple(
-        ResolvedSpec(
-            formula=_resolve_ltl(checked, proc_index, spec.formula),
-            text=_render_ltl(spec.formula),
-        )
-        for spec in model.ltl_specs
+
+def _const_value(
+    constructors: dict[str, EnumType], arg: ast.Expr
+) -> tuple[Value, ValueType]:
+    if isinstance(arg, ast.BoolLit):
+        return arg.value, BOOL
+    if isinstance(arg, ast.Name) and arg.ident in constructors:
+        return arg.ident, constructors[arg.ident]
+    raise TypeCheckError(
+        "value arguments must be literals or enum constructors", arg.pos
     )
-    return SystemInstance(
-        channels=tuple(channels),
-        processes=tuple(processes),
-        ltl_specs=specs,
-        checked=checked,
-    )
-
-
-def _render_ltl(expr: ast.Expr) -> str:
-    from .pretty import print_expr
-
-    return print_expr(expr)
 
 
 def _resolve_ltl(
-    checked: CheckedModel, proc_index: dict[str, int], expr: ast.Expr
-) -> Prop:
+    expr: ast.Expr,
+    procs: dict[str, tuple[int, TemplateInfo]],
+    constructors: dict[str, EnumType],
+) -> tuple[Prop, ValueType]:
+    """Type-check an ltl formula and resolve its atoms, in one walk."""
     if isinstance(expr, ast.BoolLit):
-        return PBool(expr.value)
+        return PBool(expr.value), BOOL
     if isinstance(expr, ast.Qualified):
-        entry = _process_entries(checked.ast)[expr.instance]
-        info = checked.templates[entry.payload.template]
+        if expr.instance not in procs:
+            raise NameResolutionError(
+                f"ltl atom references unknown process instance '{expr.instance}'",
+                expr.pos,
+            )
+        proc, info = procs[expr.instance]
+        if expr.variable not in info.body_level:
+            raise NameResolutionError(
+                f"process '{expr.instance}' has no top-level variable '{expr.variable}'",
+                expr.pos,
+            )
         slot = info.body_level[expr.variable]
-        return PAtom(
-            proc=proc_index[expr.instance],
-            slot=slot,
-            proc_name=expr.instance,
-            var_name=expr.variable,
-            type=info.slots[slot].type,
-        )
+        ty = info.slots[slot].type
+        return PAtom(proc, slot, expr.instance, expr.variable, ty), ty
     if isinstance(expr, ast.Name):
-        return PEnum(expr.ident)
-    if isinstance(expr, ast.Temporal):
-        return PTemporal(op=expr.op, sub=_resolve_ltl(checked, proc_index, expr.operand))
-    if isinstance(expr, ast.Unary):
-        return PNot(_resolve_ltl(checked, proc_index, expr.operand))
-    assert isinstance(expr, ast.Binary)
-    return PBin(
-        op=expr.op,
-        left=_resolve_ltl(checked, proc_index, expr.left),
-        right=_resolve_ltl(checked, proc_index, expr.right),
+        if expr.ident not in constructors:
+            raise NameResolutionError(
+                f"ltl atoms must be instance-qualified variables or constants; "
+                f"unknown name '{expr.ident}'",
+                expr.pos,
+            )
+        return PEnum(expr.ident), constructors[expr.ident]
+    if isinstance(expr, (ast.Unary, ast.Temporal)):
+        sub, sub_ty = _resolve_ltl(expr.operand, procs, constructors)
+        ty = _op_type(expr.op, (sub_ty,), expr.pos)
+        if isinstance(expr, ast.Unary):
+            return PNot(sub), ty
+        return PTemporal(op=expr.op, sub=sub), ty
+    if isinstance(expr, ast.Binary):
+        left, left_ty = _resolve_ltl(expr.left, procs, constructors)
+        right, right_ty = _resolve_ltl(expr.right, procs, constructors)
+        return PBin(expr.op, left, right), _op_type(expr.op, (left_ty, right_ty), expr.pos)
+    raise TypeCheckError("unsupported expression in ltl formula", expr.pos)
+
+
+# ---------------------------------------------------------------------------
+# Instantiation
+
+
+def instantiate(checked: CheckedModel) -> SystemInstance:
+    """Package the checked model's channels, processes and specs."""
+    return SystemInstance(
+        channels=checked.channels,
+        processes=checked.processes,
+        ltl_specs=checked.ltl_specs,
+        checked=checked,
     )

@@ -30,11 +30,16 @@ from .sema import (
     PTemporal,
     SystemInstance,
     Value,
+    zero_value,
 )
 
 
 class EmitError(Exception):
     pass
+
+
+# Binary operators of guards and ltl formulas, in SMV syntax.
+_BINARY_OPS = {"&&": "&", "||": "|", "->": "->", "==": "=", "!=": "!="}
 
 
 _RESERVED = frozenset(
@@ -148,11 +153,6 @@ class _Emitter:
             return "TRUE" if value else "FALSE"
         return self.ctor_names.name(value)
 
-    def zero_literal(self, ty) -> str:
-        if isinstance(ty, BoolType):
-            return "FALSE"
-        return self.ctor_names.name(ty.constructors[0])
-
     def loc_symbol(self, proc: int, loc: int) -> str:
         if self.automata[proc].shutdown_loc == loc:
             return "shutdown"
@@ -161,15 +161,15 @@ class _Emitter:
     def expr(self, e: ir.IrExpr, proc: int) -> str:
         """Render a guard or value expression against main-scope names."""
         if isinstance(e, ir.EBool):
-            return "TRUE" if e.value else "FALSE"
+            return self.literal(e.value)
         if isinstance(e, ir.EEnum):
-            return self.ctor_names.name(e.ctor)
+            return self.literal(e.ctor)
         if isinstance(e, ir.EVar):
             return f"{self.proc_ids[proc]}.{self.var_ids[proc][e.slot]}"
         if isinstance(e, ir.ENot):
             return f"!{self.expr(e.sub, proc)}"
         if isinstance(e, ir.EBin):
-            op = {"&&": "&", "||": "|", "->": "->", "==": "=", "!=": "!="}[e.op]
+            op = _BINARY_OPS[e.op]
             return f"({self.expr(e.left, proc)} {op} {self.expr(e.right, proc)})"
         if isinstance(e, ir.EChanReady):
             return f"{self.chan_ids[e.chan]}.ready"
@@ -187,9 +187,9 @@ class _Emitter:
 
     def prop(self, p: Prop) -> str:
         if isinstance(p, PBool):
-            return "TRUE" if p.value else "FALSE"
+            return self.literal(p.value)
         if isinstance(p, PEnum):
-            return self.ctor_names.name(p.ctor)
+            return self.literal(p.ctor)
         if isinstance(p, PAtom):
             return f"{self.proc_ids[p.proc]}.{self.var_ids[p.proc][p.slot]}"
         if isinstance(p, PNot):
@@ -197,8 +197,7 @@ class _Emitter:
         if isinstance(p, PTemporal):
             return f"{p.op} ({self.prop(p.sub)})"
         assert isinstance(p, PBin)
-        op = {"&&": "&", "||": "|", "->": "->", "==": "=", "!=": "!="}[p.op]
-        return f"({self.prop(p.left)} {op} {self.prop(p.right)})"
+        return f"({self.prop(p.left)} {_BINARY_OPS[p.op]} {self.prop(p.right)})"
 
     # -- channel modules
 
@@ -214,14 +213,14 @@ class _Emitter:
             for i in range(cap):
                 for j, ty in enumerate(decl.type.payload):
                     lines.append(f"    q{i}_{j} : {self.value_type(ty)};")
-                    inits.append(f"q{i}_{j} = {self.zero_literal(ty)}")
+                    inits.append(f"q{i}_{j} = {self.literal(zero_value(ty))}")
         else:
             lines.append("    ready : boolean;")
             lines.append("    received : boolean;")
             inits.extend(["!ready", "!received"])
             for j, ty in enumerate(decl.type.payload):
                 lines.append(f"    v{j} : {self.value_type(ty)};")
-                inits.append(f"v{j} = {self.zero_literal(ty)}")
+                inits.append(f"v{j} = {self.literal(zero_value(ty))}")
         lines.append("  INIT " + " & ".join(inits) + ";")
         return name, "\n".join(lines) + "\n"
 
@@ -281,7 +280,7 @@ class _Emitter:
                 writes[f"{cid}.ready"] = "FALSE"
                 writes[f"{cid}.received"] = "FALSE"
                 for j, ty in enumerate(decl.type.payload):
-                    writes[f"{cid}.v{j}"] = self.zero_literal(ty)
+                    writes[f"{cid}.v{j}"] = self.literal(zero_value(ty))
             elif isinstance(action, ir.AMarkReceived):
                 touched.add(action.chan)
                 writes[f"{self.chan_ids[action.chan]}.received"] = "TRUE"
@@ -311,7 +310,7 @@ class _Emitter:
                         if i + 1 < cap:
                             writes[slot] = f"{cid}.q{i + 1}_{j}"
                         else:
-                            writes[slot] = self.zero_literal(ty)
+                            writes[slot] = self.literal(zero_value(ty))
         return writes, touched
 
     # -- main module

@@ -103,19 +103,99 @@ def test_max_states_below_one_is_usage_error(paths, bound, capsys):
     assert "expected an integer >= 1" in capsys.readouterr().err
 
 
-def test_internal_error_exit_code(tmp_path, capsys):
-    model = tmp_path / "deep.sandal"
-    model.write_text(
-        "proc P() { var x bool\n  x = " + "!" * 5000 + "x }\n"
-        "init { p: P() }\n"
-        "ltl { G (p.x) }\n"
-    )
-    code = run(["check", str(model)])
+def test_internal_error_exit_code(paths, monkeypatch, capsys):
+    def broken(source):
+        raise RuntimeError("stage failed")
+
+    monkeypatch.setattr("sandalc.cli.build_model", broken)
+    code = run(["check", paths["2pc_nofault"]])
     captured = capsys.readouterr()
     assert code == 4
-    assert captured.err.startswith("sandalc: internal error:")
-    assert len(captured.err.splitlines()) == 1
+    assert captured.err == "sandalc: internal error: RuntimeError: stage failed\n"
     assert "FAIL" not in captured.out
+
+
+# ---------------------------------------------------------------------------
+# Nesting depth: every command works at MAX_NESTING open levels and reports a
+# positioned parse error one level deeper.  Each case maps a depth to the
+# model source and the text of the construct that opens the deepest level;
+# the process body's block is level 1.
+
+MAX_NESTING = 64
+
+
+def _in_body(line):
+    return (
+        "proc P() { var x bool\n  " + line + "\n}\n"
+        "init { p: P() }\nltl { G (p.x || !p.x) }\n"
+    )
+
+
+NESTING = {
+    "parens": lambda d: (_in_body("x = " + "(" * (d - 1) + "true" + ")" * (d - 1)), "("),
+    "not": lambda d: (_in_body("x = " + "!" * (d - 1) + "x"), "!"),
+    "implies": lambda d: (_in_body("x = " + "x -> " * (d - 1) + "true"), "->"),
+    "if": lambda d: (_in_body("if x { " * (d - 1) + "x = true" + " }" * (d - 1)), "{"),
+    "else_if": lambda d: (
+        _in_body("if x { x = true }" + " else if x { x = true }" * (d - 2)), "{"
+    ),
+    "temporal": lambda d: (
+        "proc P() { var x bool }\ninit { p: P() }\nltl { " + "G " * d + "true }\n", "G"
+    ),
+}
+
+
+def _run_all(path, tmp_path):
+    return {
+        "check": run(["check", str(path)]),
+        "compile": run(["compile", str(path), "-o", str(tmp_path / "out.smv")]),
+        "dump-ir": run(["dump-ir", str(path)]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(NESTING))
+def test_nesting_at_the_bound_is_accepted(case, tmp_path, capsys):
+    source, _ = NESTING[case](MAX_NESTING)
+    model = tmp_path / "deep.sandal"
+    model.write_text(source)
+    codes = _run_all(model, tmp_path)
+    assert codes == {"check": 0, "compile": 0, "dump-ir": 0}
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("case", sorted(NESTING))
+def test_nesting_past_the_bound_is_a_parse_error(case, tmp_path, capsys):
+    source, opener = NESTING[case](MAX_NESTING + 1)
+    model = tmp_path / "deep.sandal"
+    model.write_text(source)
+    lines = source.splitlines()
+    line = max(range(len(lines)), key=lambda i: lines[i].count(opener))
+    col = lines[line].rfind(opener)
+    expected = f"{model}:{line + 1}:{col + 1}: nesting is deeper than {MAX_NESTING} levels\n"
+    codes = _run_all(model, tmp_path)
+    assert codes == {"check": 2, "compile": 2, "dump-ir": 2}
+    assert capsys.readouterr().err == expected * 3
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _in_body("x = " + "!" * 5000 + "x"),
+        _in_body("x = " + "(" * 3000 + "x" + ")" * 3000),
+        _in_body("if x { " * 2000 + "x = true" + " }" * 2000),
+        "init { c: channel { " + "channel { " * 5000 + "bool" + " }" * 5001 + " }\n",
+    ],
+    ids=["5000-not", "3000-parens", "2000-ifs", "5000-channel-types"],
+)
+def test_deep_nesting_is_a_usage_error_not_a_crash(text, tmp_path, capsys):
+    model = tmp_path / "deep.sandal"
+    model.write_text(text)
+    code = run(["check", str(model)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"{model}:")
+    assert f"nesting is deeper than {MAX_NESTING} levels" in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_property_selector(paths, capsys):

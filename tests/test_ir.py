@@ -1,3 +1,5 @@
+from pathlib import Path
+
 from sandalc.checker import (
     RvState,
     initial_state,
@@ -7,7 +9,10 @@ from sandalc.checker import (
 from sandalc.corpus import corpus_source
 from sandalc.ir import dump_automaton
 from sandalc.pipeline import build_model
+from sandalc.smv import emit_smv
 from oracles import build_graph
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def compiled(source):
@@ -480,3 +485,17 @@ def test_dump_line_format():
     dump = dump_automaton(cs.automata[0], built.system)
     line = dump.splitlines()[2]
     assert "->" in line and "[" in line and "/" in line and "(" in line
+
+
+def test_every_condition_form_matches_golden():
+    """Plain and receive conditions of if, var and assign, woven with @drop
+    and @shutdown, pinned through dump-ir text and SMV emission."""
+    built = build_model((GOLDEN / "conditions.sandal").read_text())
+    dump = "".join(dump_automaton(a, built.system) for a in built.woven.automata)
+    assert dump == (GOLDEN / "conditions.dump").read_text()
+    smv = emit_smv(built.system, built.woven.automata).render()
+    assert smv == (GOLDEN / "conditions.smv").read_text()
+    assert [s.text for s in built.system.ltl_specs] == [
+        "G (p.got -> p.m == A)",
+        "F (G (p.ok || p.m != B))",
+    ]

@@ -293,3 +293,89 @@ def test_nested_scopes_may_shadow():
     info = checked.templates["P"]
     assert [s.name for s in info.slots] == ["x", "x_2"]
     assert info.body_level == {"x": 0}  # ltl sees the proc-level one
+
+
+# ---------------------------------------------------------------------------
+# Init-block and ltl diagnostics: class, message and line:col
+
+
+DIAG_HEAD = (
+    "data V { A, B }\ndata W { C }\n"
+    "proc P(c channel { V }, cs []channel { V }, v V) {\n  var x V\n  var ok bool\n}\n"
+)
+DIAG_INIT = "init { c: channel { V }, b: channel [2] { V }, p: P(c, [c], A) }\n"
+
+DIAGNOSTICS = [
+    ("dup", "init { c: channel { V },\n  c: channel { V } }\n",
+     NameResolutionError, "8:3", "duplicate instance name 'c'"),
+    ("ghost", "init { p: Ghost() }\n",
+     NameResolutionError, "7:8", "unknown process template 'Ghost'"),
+    ("arity", "init { c: channel { V }, p: P(c) }\n",
+     ArityError, "7:26", "'P' takes 3 arguments, got 1"),
+    ("chan_lit", "init { c: channel { V }, p: P(true, [c], A) }\n",
+     TypeCheckError, "7:31", "expected the name of a declared channel"),
+    ("chan_undeclared", "init { c: channel { V }, p: P(d, [c], A) }\n",
+     TypeCheckError, "7:31", "expected the name of a declared channel"),
+    ("chan_proc", "init { c: channel { V }, p: P(c, [c], A), q: P(p, [c], A) }\n",
+     TypeCheckError, "7:48", "expected the name of a declared channel"),
+    ("chan_type", "init { c: channel { V }, b: channel [2] { V }, p: P(b, [c], A) }\n",
+     TypeCheckError, "7:53", "channel 'b' has type channel [2] { V }, parameter needs channel { V }"),
+    ("array_nonarray", "init { c: channel { V }, p: P(c, c, A) }\n",
+     TypeCheckError, "7:34", "expected an array literal of channel names"),
+    ("array_elem", "init { c: channel { V }, p: P(c, [c, z], A) }\n",
+     TypeCheckError, "7:38", "expected the name of a declared channel"),
+    ("array_elem_type", "init { c: channel { V }, b: channel [2] { V }, p: P(c, [c, b], A) }\n",
+     TypeCheckError, "7:60", "channel 'b' has type channel [2] { V }, parameter needs channel { V }"),
+    ("value_type", "init { c: channel { V }, p: P(c, [c], true) }\n",
+     TypeCheckError, "7:39", "argument has type bool, parameter needs V"),
+    ("value_enum_type", "init { c: channel { V }, p: P(c, [c], C) }\n",
+     TypeCheckError, "7:39", "argument has type W, parameter needs V"),
+    ("value_channel", "init { c: channel { V }, p: P(c, [c], c) }\n",
+     TypeCheckError, "7:39", "value arguments must be literals or enum constructors"),
+    ("value_expr", "init { c: channel { V }, p: P(c, [c], !true) }\n",
+     TypeCheckError, "7:39", "value arguments must be literals or enum constructors"),
+    ("value_array", "init { c: channel { V }, p: P(c, [c], [A]) }\n",
+     TypeCheckError, "7:39", "value arguments must be literals or enum constructors"),
+    ("chan_unknown_type", "init { c: channel { Nope } }\n",
+     NameResolutionError, "7:21", "unknown type 'Nope'"),
+    ("ltl_not_bool", DIAG_INIT + "ltl { p.x }\n",
+     TypeCheckError, "8:1", "ltl formula must be bool, got V"),
+    ("ltl_unknown_instance", DIAG_INIT + "ltl { G (q.x == A) }\n",
+     NameResolutionError, "8:10", "ltl atom references unknown process instance 'q'"),
+    ("ltl_channel_instance", DIAG_INIT + "ltl { G (c.x == A) }\n",
+     NameResolutionError, "8:10", "ltl atom references unknown process instance 'c'"),
+    ("ltl_no_variable", DIAG_INIT + "ltl { G (p.y) }\n",
+     NameResolutionError, "8:10", "process 'p' has no top-level variable 'y'"),
+    ("ltl_unknown_name", DIAG_INIT + "ltl { G (zz) }\n",
+     NameResolutionError, "8:10", "ltl atoms must be instance-qualified variables or constants; unknown name 'zz'"),
+    ("ltl_G_non_bool", DIAG_INIT + "ltl { G (p.x) }\n",
+     TypeCheckError, "8:7", "'G' needs a bool formula, got V"),
+    ("ltl_F_non_bool", DIAG_INIT + "ltl { F p.x }\n",
+     TypeCheckError, "8:7", "'F' needs a bool formula, got V"),
+    ("ltl_not_non_bool", DIAG_INIT + "ltl { G !p.x }\n",
+     TypeCheckError, "8:9", "'!' needs a bool operand, got V"),
+    ("ltl_and_non_bool", DIAG_INIT + "ltl { G (p.ok && p.x) }\n",
+     TypeCheckError, "8:15", "'&&' needs bool operands, got bool and V"),
+    ("ltl_cross_enum", DIAG_INIT + "ltl { G (p.x == C) }\n",
+     TypeCheckError, "8:14", "cannot compare V with W"),
+    ("ltl_bool_enum", DIAG_INIT + "ltl { G (p.ok != A) }\n",
+     TypeCheckError, "8:15", "cannot compare bool with V"),
+]
+
+
+@pytest.mark.parametrize(
+    "tail, cls, pos, message", [row[1:] for row in DIAGNOSTICS], ids=[row[0] for row in DIAGNOSTICS]
+)
+def test_init_and_ltl_diagnostics(tail, cls, pos, message):
+    with pytest.raises(SandalError) as err:
+        check(DIAG_HEAD + tail)
+    assert type(err.value) is cls
+    assert str(err.value.pos) == pos
+    assert err.value.message == message
+
+
+def test_qualified_name_outside_ltl_rejected():
+    with pytest.raises(TypeCheckError) as err:
+        check("proc P() {\n  var y bool = q.z\n}\ninit {}\n")
+    assert str(err.value.pos) == "2:16"
+    assert err.value.message == "instance-qualified names are only valid in ltl specs"
