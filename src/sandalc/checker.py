@@ -19,7 +19,11 @@ reachability question:
 One breadth-first search with parent pointers answers all four, so every
 counterexample is shortest: a finite path for G(p), and for the others that
 path plus one stutter step as the loop of a lasso.  Weak process fairness
-cannot change a verdict, since no process is enabled at a deadlock.
+cannot change a verdict, since no process is enabled at a deadlock, so there
+is no fairness setting.
+
+Guards, action values and propositions share their node set (see sema.py),
+so one evaluator serves all three.
 
 Counterexamples are replayable: applying the recorded labels from the initial
 state reproduces the recorded states exactly.
@@ -34,17 +38,7 @@ from graphlib import CycleError, TopologicalSorter
 
 from . import ir
 from .ir import CompiledSystem, Transition
-from .sema import (
-    PAtom,
-    PBin,
-    PBool,
-    PEnum,
-    PNot,
-    Prop,
-    PTemporal,
-    ResolvedSpec,
-    Value,
-)
+from .sema import PAtom, PBin, PBool, PEnum, PNot, Prop, PTemporal, ResolvedSpec, Value
 
 DEFAULT_MAX_STATES = 10_000_000
 
@@ -111,21 +105,18 @@ def initial_state(cs: CompiledSystem) -> GlobalState:
 
 
 # ---------------------------------------------------------------------------
-# Guard evaluation and action application
+# Expression evaluation and action application
 
 
-def _eval(cs: CompiledSystem, e: ir.IrExpr, vars_: tuple, chans: tuple):
-    if isinstance(e, ir.EBool):
-        return e.value
-    if isinstance(e, ir.EEnum):
-        return e.ctor
-    if isinstance(e, ir.EVar):
-        return vars_[e.slot]
-    if isinstance(e, ir.ENot):
-        return not _eval(cs, e.sub, vars_, chans)
-    if isinstance(e, ir.EBin):
-        left = _eval(cs, e.left, vars_, chans)
-        right = _eval(cs, e.right, vars_, chans)
+def _eval(cs: CompiledSystem, e, vars_: tuple, chans: tuple, procs: tuple):
+    """Evaluate a guard or value (an ir.IrExpr) over one process's locals and
+    the channels, or a Prop, whose atoms read the locals of any process.
+
+    Tests run in order of frequency: a search evaluates its proposition on
+    every state, so binary nodes and atoms come first."""
+    if isinstance(e, PBin):
+        left = _eval(cs, e.left, vars_, chans, procs)
+        right = _eval(cs, e.right, vars_, chans, procs)
         if e.op == "&&":
             return left and right
         if e.op == "||":
@@ -135,6 +126,16 @@ def _eval(cs: CompiledSystem, e: ir.IrExpr, vars_: tuple, chans: tuple):
         if e.op == "==":
             return left == right
         return left != right  # !=
+    if isinstance(e, PAtom):
+        return procs[e.proc].vars[e.slot]
+    if isinstance(e, PEnum):
+        return e.ctor
+    if isinstance(e, PNot):
+        return not _eval(cs, e.sub, vars_, chans, procs)
+    if isinstance(e, PBool):
+        return e.value
+    if isinstance(e, ir.EVar):
+        return vars_[e.slot]
     if isinstance(e, ir.EChanReady):
         return chans[e.chan].ready
     if isinstance(e, ir.EChanReceived):
@@ -146,6 +147,8 @@ def _eval(cs: CompiledSystem, e: ir.IrExpr, vars_: tuple, chans: tuple):
         return len(chans[e.chan].queue) < cap
     if isinstance(e, ir.EChanNotEmpty):
         return len(chans[e.chan].queue) > 0
+    if isinstance(e, PTemporal):
+        raise UnsupportedFormula("temporal operator in propositional position")
     assert isinstance(e, ir.EChanHeadItem)
     return chans[e.chan].queue[0][e.index]
 
@@ -157,10 +160,13 @@ def _apply(
     chans = list(state.chans)
     for action in t.actions:
         if isinstance(action, ir.ASetVar):
-            vars_[action.slot] = _eval(cs, action.value, tuple(vars_), tuple(chans))
+            vars_[action.slot] = _eval(
+                cs, action.value, tuple(vars_), tuple(chans), state.procs
+            )
         elif isinstance(action, ir.ABeginSend):
             payload = tuple(
-                _eval(cs, v, tuple(vars_), tuple(chans)) for v in action.payload
+                _eval(cs, v, tuple(vars_), tuple(chans), state.procs)
+                for v in action.payload
             )
             chans[action.chan] = RvState(ready=True, received=False, buf=payload)
         elif isinstance(action, ir.AFinishSend):
@@ -170,7 +176,8 @@ def _apply(
             chans[action.chan] = RvState(ready=old.ready, received=True, buf=old.buf)
         elif isinstance(action, ir.APush):
             payload = tuple(
-                _eval(cs, v, tuple(vars_), tuple(chans)) for v in action.payload
+                _eval(cs, v, tuple(vars_), tuple(chans), state.procs)
+                for v in action.payload
             )
             old = chans[action.chan]
             chans[action.chan] = BufState(queue=old.queue + (payload,))
@@ -194,7 +201,7 @@ def successor_transitions(
     for i, automaton in enumerate(cs.automata):
         proc = state.procs[i]
         for t in automaton.by_src.get(proc.loc, ()):
-            if _eval(cs, t.guard, proc.vars, state.chans):
+            if _eval(cs, t.guard, proc.vars, state.chans, state.procs):
                 out.append((i, t, _apply(cs, t, i, state)))
     return out
 
@@ -222,27 +229,7 @@ def eval_prop(p: Prop, state: GlobalState) -> Value:
 
     A variable of a shutdown process keeps (and reports) its last value.
     """
-    if isinstance(p, PBool):
-        return p.value
-    if isinstance(p, PEnum):
-        return p.ctor
-    if isinstance(p, PAtom):
-        return state.procs[p.proc].vars[p.slot]
-    if isinstance(p, PNot):
-        return not eval_prop(p.sub, state)
-    if isinstance(p, PBin):
-        left = eval_prop(p.left, state)
-        right = eval_prop(p.right, state)
-        if p.op == "&&":
-            return left and right
-        if p.op == "||":
-            return left or right
-        if p.op == "->":
-            return (not left) or right
-        if p.op == "==":
-            return left == right
-        return left != right
-    raise UnsupportedFormula("temporal operator in propositional position")
+    return _eval(None, p, (), state.chans, state.procs)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 Exit codes: 0 success / all properties hold; 1 a property fails (the
 counterexample is printed); 2 usage, lexical, parse or type error; 3 a
-resource limit was hit; 4 internal error (a one-line message on stderr).
+resource limit was hit; 4 internal error (a one-line message on stderr);
+141 stdout was closed early, e.g. by `| head` (nothing is printed).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 
 from .checker import (
@@ -27,6 +30,7 @@ EXIT_FAIL = 1
 EXIT_ERROR = 2
 EXIT_LIMIT = 3
 EXIT_INTERNAL = 4
+_EXIT_CLOSED_PIPE = 128 + 13  # as if killed by SIGPIPE
 
 
 def _positive_int(text: str) -> int:
@@ -48,10 +52,6 @@ def _arg_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="verify the model's ltl properties")
     check.add_argument("input", help="model source file (.sandal)")
-    check.add_argument("--fairness", choices=("on", "off"), default="on",
-                       help="accepted for compatibility; no effect on verdicts, "
-                            "since every run ends in a deadlock where no process "
-                            "is enabled (compile --fairness sets JUSTICE lines)")
     check.add_argument("--max-states", type=_positive_int, default=DEFAULT_MAX_STATES,
                        help="abort after exploring this many states")
     check.add_argument("--property", type=int, default=None, metavar="N",
@@ -62,8 +62,6 @@ def _arg_parser() -> argparse.ArgumentParser:
     compile_ = sub.add_parser("compile", help="emit SMV modules")
     compile_.add_argument("input", help="model source file (.sandal)")
     compile_.add_argument("-o", "--output", required=True, help="output .smv file")
-    compile_.add_argument("--fairness", choices=("on", "off"), default="on",
-                          help="emit per-process fairness constraints (default on)")
 
     dump = sub.add_parser("dump-ir", help="print the woven automata")
     dump.add_argument("input", help="model source file (.sandal)")
@@ -127,9 +125,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_compile(args) -> int:
     built = _load(args.input)
-    doc = emit_smv(
-        built.system, built.woven.automata, fairness=args.fairness == "on"
-    )
+    doc = emit_smv(built.system, built.woven.automata)
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(doc.render())
     return EXIT_OK
@@ -144,16 +140,24 @@ def _cmd_dump_ir(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"check": _cmd_check, "compile": _cmd_compile, "dump-ir": _cmd_dump_ir}
+
+
 def run(argv: list[str] | None = None) -> int:
     args = _arg_parser().parse_args(argv)
     try:
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "compile":
-            return _cmd_compile(args)
-        return _cmd_dump_ir(args)
-    except _CliError as exc:
-        return exc.code
+        try:
+            return _COMMANDS[args.command](args)
+        except _CliError as exc:
+            return exc.code
+        finally:
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: what is left of stdout goes to devnull at
+        # exit instead of failing again.  A stream without a file has none.
+        with contextlib.suppress(AttributeError, OSError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_CLOSED_PIPE
     except Exception as exc:  # last resort: never show a traceback, never exit 1
         print(f"sandalc: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -40,8 +40,6 @@ class WeaveReport:
 
 def weave_shutdown(automaton: ProcessAutomaton) -> ProcessAutomaton:
     """Add the absorbing shutdown location and a crash edge from every location."""
-    if automaton.shutdown_loc is not None:
-        return automaton
     shutdown_loc = automaton.n_locations
     crashes = tuple(
         Transition(
@@ -68,17 +66,11 @@ def weave_drop(
     system: SystemInstance, automata: tuple[ProcessAutomaton, ...]
 ) -> tuple[tuple[ProcessAutomaton, ...], dict[str, int]]:
     """Give every send over a dropped channel a skip edge. Returns counts per channel."""
-    dropped = {
-        i for i, chan in enumerate(system.channels) if chan.drop_fault
-    }
+    dropped = {i for i, chan in enumerate(system.channels) if chan.drop_fault}
     counts = {chan.name: 0 for chan in system.channels if chan.drop_fault}
     woven = []
     for automaton in automata:
-        todo = [
-            site
-            for site in automaton.send_sites
-            if site.chan in dropped and site.chan not in automaton.drop_woven
-        ]
+        todo = [site for site in automaton.send_sites if site.chan in dropped]
         if not todo:
             woven.append(automaton)
             continue
@@ -97,27 +89,19 @@ def weave_drop(
         )
         for site in todo:
             counts[system.channels[site.chan].name] += 1
-        woven.append(
-            replace(
-                automaton,
-                transitions=automaton.transitions + skips,
-                drop_woven=automaton.drop_woven | {site.chan for site in todo},
-            )
-        )
+        woven.append(replace(automaton, transitions=automaton.transitions + skips))
     return tuple(woven), counts
 
 
 def weave_system(compiled: CompiledSystem) -> tuple[CompiledSystem, WeaveReport]:
-    """Apply every fault marker of the instance to the lowered automata."""
+    """Apply every fault marker of the instance to the freshly lowered automata."""
     system = compiled.instance
     shutdown_counts: dict[str, int] = {}
     automata = []
     for proc, automaton in zip(system.processes, compiled.automata):
         if proc.shutdown_fault:
-            woven_automaton = weave_shutdown(automaton)
-            if woven_automaton is not automaton:  # freshly woven, not a re-run
-                shutdown_counts[proc.name] = automaton.n_locations
-            automaton = woven_automaton
+            shutdown_counts[proc.name] = automaton.n_locations
+            automaton = weave_shutdown(automaton)
         automata.append(automaton)
     woven, drop_counts = weave_drop(system, tuple(automata))
     report = WeaveReport(

@@ -5,7 +5,9 @@ automaton is the concatenation of its statements' fragments.  Rendezvous
 communication uses the three-variable handshake (ready flag, received flag,
 one-slot value buffer): a send occupies two transitions through an
 intermediate location, a receive is a single transition, and the sender's
-final step resets the flags so the channel can be reused.
+final step resets the flags so the channel can be reused.  Guards and values
+are built from sema's literal, not and binary nodes plus EVar and six channel
+reads, so the checker evaluates them and ltl propositions alike.
 
 Loops are unrolled (array bindings are static after instantiation), so every
 automaton is acyclic: no transition leads back to a location its process has
@@ -22,7 +24,7 @@ from . import sema
 from . import syntax as ast
 from .errors import NO_POS, Pos
 from .pretty import print_expr
-from .sema import SlotInfo, SystemInstance, Value
+from .sema import PBin, PBool, PEnum, PNot, SlotInfo, SystemInstance, Value
 
 NORMAL = "normal"
 TIMEOUT = "timeout"
@@ -31,34 +33,13 @@ SHUTDOWN = "shutdown"
 
 
 # ---------------------------------------------------------------------------
-# Guard and value expressions, evaluated over (process locals, channel states)
-
-
-@dataclass(frozen=True)
-class EBool:
-    value: bool
-
-
-@dataclass(frozen=True)
-class EEnum:
-    ctor: str
+# Guard and value expressions over (process locals, channel states): sema's
+# PBool, PEnum, PNot and PBin, plus these
 
 
 @dataclass(frozen=True)
 class EVar:
     slot: int
-
-
-@dataclass(frozen=True)
-class ENot:
-    sub: "IrExpr"
-
-
-@dataclass(frozen=True)
-class EBin:
-    op: str  # && || -> == !=
-    left: "IrExpr"
-    right: "IrExpr"
 
 
 @dataclass(frozen=True)
@@ -94,12 +75,12 @@ class EChanHeadItem:
 
 
 IrExpr = (
-    EBool | EEnum | EVar | ENot | EBin
+    PBool | PEnum | EVar | PNot | PBin
     | EChanReady | EChanReceived | EChanBufItem
     | EChanNotFull | EChanNotEmpty | EChanHeadItem
 )
 
-TRUE = EBool(True)
+TRUE = PBool(True)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +172,6 @@ class ProcessAutomaton:
     locals: tuple[SlotInfo, ...]
     send_sites: tuple[SendSite, ...]
     shutdown_loc: int | None = None
-    drop_woven: frozenset[int] = frozenset()
 
     @cached_property
     def by_src(self) -> dict[int, tuple[Transition, ...]]:
@@ -316,7 +296,7 @@ class _Lowerer:
 
     def compile_expr(self, expr: ast.Expr) -> IrExpr:
         if isinstance(expr, ast.BoolLit):
-            return EBool(expr.value)
+            return PBool(expr.value)
         if isinstance(expr, ast.Name):
             binding = self.info.resolutions[id(expr)]
             if isinstance(binding, sema.LocalVar):
@@ -324,11 +304,11 @@ class _Lowerer:
             if isinstance(binding, sema.ValueParam):
                 return _const_to_expr(self.proc.const_bindings[binding.name])
             assert isinstance(binding, sema.EnumConst)
-            return EEnum(binding.ctor)
+            return PEnum(binding.ctor)
         if isinstance(expr, ast.Unary):
-            return ENot(self.compile_expr(expr.operand))
+            return PNot(self.compile_expr(expr.operand))
         assert isinstance(expr, ast.Binary), f"cannot compile {expr!r}"
-        return EBin(expr.op, self.compile_expr(expr.left), self.compile_expr(expr.right))
+        return PBin(expr.op, self.compile_expr(expr.left), self.compile_expr(expr.right))
 
     # -- fragments; every lowering maps an entry location to a returned exit
 
@@ -404,7 +384,7 @@ class _Lowerer:
         else:
             mid = self.builder.fresh()
             self.builder.add(
-                entry, mid, ENot(EChanReady(chan)), (ABeginSend(chan, payload),),
+                entry, mid, PNot(EChanReady(chan)), (ABeginSend(chan, payload),),
                 "send.fire", desc, stmt.pos,
             )
             self.builder.add(
@@ -417,7 +397,7 @@ class _Lowerer:
     def _recv_guard(self, chan: int) -> IrExpr:
         if self.chan_type(chan).is_buffered:
             return EChanNotEmpty(chan)
-        return EBin("&&", EChanReady(chan), ENot(EChanReceived(chan)))
+        return PBin("&&", EChanReady(chan), PNot(EChanReceived(chan)))
 
     def _recv_actions(self, chan: int, slots: tuple[int, ...]) -> tuple[Action, ...]:
         if self.chan_type(chan).is_buffered:
@@ -455,7 +435,7 @@ class _Lowerer:
         if not isinstance(cond, ast.RecvExpr):
             guard = self.compile_expr(cond)
             taken = (guard, (), "if.then", NORMAL)
-            return print_expr(cond), taken, (ENot(guard), (), "if.else", NORMAL)
+            return print_expr(cond), taken, (PNot(guard), (), "if.else", NORMAL)
         chan = self.channel_of(cond.channel)
         slots = self.info.target_slots[id(cond)]
         text = f"{cond.form}({self.chan_name(chan)}, {', '.join(cond.targets)})"
@@ -466,7 +446,7 @@ class _Lowerer:
             # its window even when a sender stands ready.
             return text, taken, (TRUE, (), "timeout.fail", TIMEOUT)
         taken = (guard, self._recv_actions(chan, slots), "nonblock.ok", NORMAL)
-        return text, taken, (ENot(guard), (), "nonblock.fail", NORMAL)
+        return text, taken, (PNot(guard), (), "nonblock.fail", NORMAL)
 
     def lower_recv_expr(
         self, expr: ast.RecvExpr, result_slot: int, lhs: str, pos: Pos, entry: int
@@ -477,7 +457,7 @@ class _Lowerer:
         desc = f"{lhs} = {text}"
         exit_ = self.builder.fresh()
         for (guard, actions, kind, tag), result in ((taken, True), (untaken, False)):
-            stored = actions + (ASetVar(result_slot, EBool(result)),)
+            stored = actions + (ASetVar(result_slot, PBool(result)),)
             self.builder.add(entry, exit_, guard, stored, kind, desc, pos, tag)
         return exit_
 
@@ -527,7 +507,7 @@ class _Lowerer:
 
 
 def _const_to_expr(value: Value) -> IrExpr:
-    return EBool(value) if isinstance(value, bool) else EEnum(value)
+    return PBool(value) if isinstance(value, bool) else PEnum(value)
 
 
 def lower_process(system: SystemInstance, proc_index: int) -> ProcessAutomaton:
@@ -551,15 +531,15 @@ def lower_system(system: SystemInstance) -> CompiledSystem:
 
 
 def render_expr(e: IrExpr, chan_names, local_names) -> str:
-    if isinstance(e, EBool):
+    if isinstance(e, PBool):
         return "true" if e.value else "false"
-    if isinstance(e, EEnum):
+    if isinstance(e, PEnum):
         return e.ctor
     if isinstance(e, EVar):
         return local_names[e.slot]
-    if isinstance(e, ENot):
+    if isinstance(e, PNot):
         return f"!{render_expr(e.sub, chan_names, local_names)}"
-    if isinstance(e, EBin):
+    if isinstance(e, PBin):
         left = render_expr(e.left, chan_names, local_names)
         right = render_expr(e.right, chan_names, local_names)
         return f"({left} {e.op} {right})"

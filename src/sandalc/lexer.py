@@ -68,6 +68,9 @@ class Token:
         return repr(self.text)
 
 
+_DIGITS = "0123456789"  # str.isdigit() also admits digits int() rejects, such as '²'
+
+
 def _is_ident_start(ch: str) -> bool:
     return ch.isalpha() or ch == "_"
 
@@ -135,9 +138,9 @@ def tokenize(source: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
             tokens.append(Token(TokenKind.NUMBER, source[i:j], start_line, start_col))
             col += j - i

@@ -5,12 +5,17 @@ Comma-separated lists (init entries, data constructors, arguments, parameters)
 skip newline-inserted separators so entries may span lines, but still require
 the commas themselves.
 
-Nesting is bounded: a block, a parenthesized expression, the operand of `!`,
-`G` or `F`, the right side of `->`, an `else if` and a channel payload type
-each open one level, and more than 64 open levels is a ParseError.  Every
-later stage recurses over the tree, so the bound keeps nested constructs
-within Python's stack.  Left-associative chains (`a && b && ...`) open no
-level: a wide model's specs chain one conjunct per process.
+Every later stage recurses over the tree, so two bounds keep it within
+Python's stack; past either one, parsing stops with a ParseError.
+
+* Nesting: a block, a parenthesized expression, the operand of `!`, `G` or
+  `F`, the right side of `->`, an `else if` and a channel payload type each
+  open one level, and at most 64 levels may be open.  This also bounds the
+  parser's own recursion, about seven frames per parenthesis.
+* Expression depth: the tree of a whole expression may be at most 256 nodes
+  deep.  Left-associative chains (`a && b && ...`) open no nesting level,
+  since a wide model's specs chain one conjunct per process, so this bound,
+  measured without recursion, is what limits them.
 """
 
 from __future__ import annotations
@@ -20,6 +25,21 @@ from .lexer import Token, TokenKind, tokenize
 from . import syntax as ast
 
 _MAX_NESTING = 64
+_MAX_EXPR_DEPTH = 256
+
+
+def _too_deep(expr: ast.Expr) -> bool:
+    """Whether a root-to-leaf path of the tree has more than _MAX_EXPR_DEPTH nodes."""
+    stack = [(expr, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > _MAX_EXPR_DEPTH:
+            return True
+        if isinstance(node, ast.Binary):
+            stack += ((node.left, depth + 1), (node.right, depth + 1))
+        elif isinstance(node, (ast.Unary, ast.Temporal)):
+            stack.append((node.operand, depth + 1))
+    return False
 
 
 class _Parser:
@@ -233,7 +253,10 @@ class _Parser:
             if num.kind is not TokenKind.NUMBER:
                 raise ParseError(f"expected a buffer capacity, found {num}", num.pos)
             self.advance()
-            capacity = int(num.text)
+            digits = num.text.lstrip("0")
+            if len(digits) > 9:  # int() refuses strings past 4300 digits
+                raise ParseError("buffer capacity is too large", num.pos)
+            capacity = int(digits or "0")
             if capacity < 1:
                 raise ParseError("buffer capacity must be at least 1", num.pos)
             self.expect("]", "after the buffer capacity")
@@ -390,7 +413,12 @@ class _Parser:
     # -- expressions -------------------------------------------------------------
 
     def parse_expr(self, ltl: bool) -> ast.Expr:
-        return self.parse_implies(ltl)
+        """A whole expression; a parenthesized one is part of the enclosing tree."""
+        start = self.cur
+        expr = self.parse_implies(ltl)
+        if _too_deep(expr):
+            raise ParseError(f"expression is deeper than {_MAX_EXPR_DEPTH} levels", start.pos)
+        return expr
 
     def parse_implies(self, ltl: bool) -> ast.Expr:
         left = self.parse_or(ltl)
@@ -442,7 +470,7 @@ class _Parser:
         if self.at("("):
             self.enter(self.advance())
             self.skip_newlines()
-            inner = self.parse_expr(ltl)
+            inner = self.parse_implies(ltl)
             self.skip_newlines()
             self.expect(")", "to close the parenthesized expression")
             self.leave()

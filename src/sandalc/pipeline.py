@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import syntax
 from .checker import CompiledSystem
 from .faultweave import WeaveReport, weave_system
 from .ir import lower_system
@@ -14,7 +13,6 @@ from .sema import SystemInstance, instantiate, resolve_and_check
 
 @dataclass(frozen=True)
 class BuildResult:
-    ast: syntax.ModelAST
     system: SystemInstance
     unwoven: CompiledSystem
     woven: CompiledSystem
@@ -28,6 +26,4 @@ def build_model(source: str) -> BuildResult:
     system = instantiate(checked)
     unwoven = lower_system(system)
     woven, report = weave_system(unwoven)
-    return BuildResult(
-        ast=tree, system=system, unwoven=unwoven, woven=woven, report=report
-    )
+    return BuildResult(system=system, unwoven=unwoven, woven=woven, report=report)

@@ -6,6 +6,10 @@ resolves.  Checking the init-block binds it: it yields the concrete channels
 and the concrete processes with their channel and value bindings.  Checking
 an ltl formula resolves it: its atoms become (process index, variable slot)
 pairs.  instantiate only packages these results into a SystemInstance.
+
+PBool, PEnum, PNot and PBin are the compiler's one set of literal, not and
+binary nodes: ltl formulas add PAtom and PTemporal to them, and the guards and
+values of the lowered automata (ir.py) add a local read and channel reads.
 """
 
 from __future__ import annotations
@@ -139,7 +143,7 @@ class TemplateInfo:
 
 
 # ---------------------------------------------------------------------------
-# Resolved LTL formulas
+# Propositions (ltl formulas); all but PAtom and PTemporal are shared with ir
 
 
 @dataclass(frozen=True)
@@ -155,32 +159,20 @@ class PAtom(Prop):
     var_name: str
     type: ValueType
 
-    def __str__(self) -> str:
-        return f"{self.proc_name}.{self.var_name}"
-
 
 @dataclass(frozen=True)
 class PBool(Prop):
     value: bool
-
-    def __str__(self) -> str:
-        return "true" if self.value else "false"
 
 
 @dataclass(frozen=True)
 class PEnum(Prop):
     ctor: str
 
-    def __str__(self) -> str:
-        return self.ctor
-
 
 @dataclass(frozen=True)
 class PNot(Prop):
     sub: Prop
-
-    def __str__(self) -> str:
-        return f"!({self.sub})"
 
 
 @dataclass(frozen=True)
@@ -189,17 +181,11 @@ class PBin(Prop):
     left: Prop
     right: Prop
 
-    def __str__(self) -> str:
-        return f"({self.left} {self.op} {self.right})"
-
 
 @dataclass(frozen=True)
 class PTemporal(Prop):
     op: str  # G | F
     sub: Prop
-
-    def __str__(self) -> str:
-        return f"{self.op} ({self.sub})"
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +216,6 @@ class ResolvedSpec:
 
 @dataclass
 class CheckedModel:
-    ast: ast.ModelAST
     enums: dict[str, EnumType]
     constructors: dict[str, EnumType]
     templates: dict[str, TemplateInfo]
@@ -556,7 +541,6 @@ def resolve_and_check(model: ast.ModelAST) -> CheckedModel:
             raise TypeCheckError(f"ltl formula must be bool, got {ty}", spec.pos)
         specs.append(ResolvedSpec(formula=formula, text=print_expr(spec.formula)))
     return CheckedModel(
-        ast=model,
         enums=enums,
         constructors=constructors,
         templates=templates,

@@ -5,9 +5,11 @@ variables; main instantiates everything and owns the whole transition
 relation as a single TRANS disjunction.  A bookkeeping variable `mover`
 records which process stepped, which both realizes the interleaving scheduler
 (its next value is the nondeterministic selection) and supports the per
-process JUSTICE constraints emitted when fairness is on.  A deadlocked state
-takes the mover = m_none disjunct, which freezes every variable, mirroring
-the built-in checker's stutter rule.
+process JUSTICE constraints.  A deadlocked state takes the mover = m_none
+disjunct, which freezes every variable, mirroring the built-in checker's
+stutter rule.  The JUSTICE lines are always emitted, and they cannot change a
+verdict: the automata are acyclic, so every infinite path ends in that
+stutter, where no process is enabled, and each constraint holds on it.
 
 Faults are already present in the woven automata, so the output needs no
 separate fault handling.  Emission is byte-deterministic for a given system.
@@ -18,20 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ir
-from .sema import (
-    BoolType,
-    EnumType,
-    PAtom,
-    PBin,
-    PBool,
-    PEnum,
-    PNot,
-    Prop,
-    PTemporal,
-    SystemInstance,
-    Value,
-    zero_value,
-)
+from .sema import BoolType, EnumType, PAtom, PBin, PBool, PEnum, PNot, Prop, PTemporal
+from .sema import SystemInstance, Value, zero_value
 
 
 class EmitError(Exception):
@@ -101,10 +91,9 @@ class SmvDocument:
 
 
 class _Emitter:
-    def __init__(self, system: SystemInstance, automata, fairness: bool) -> None:
+    def __init__(self, system: SystemInstance, automata) -> None:
         self.system = system
         self.automata = automata
-        self.fairness = fairness
         self.ctor_names = _Sanitizer()
         self.instance_names = _Sanitizer()
         # Enum constructors first: they are global symbolic constants.
@@ -159,16 +148,17 @@ class _Emitter:
         return f"l{loc}"
 
     def expr(self, e: ir.IrExpr, proc: int) -> str:
-        """Render a guard or value expression against main-scope names."""
-        if isinstance(e, ir.EBool):
+        """Render a guard or value against main-scope names: a local of `proc`
+        is `pid.var`, and `!` binds without parentheses."""
+        if isinstance(e, PBool):
             return self.literal(e.value)
-        if isinstance(e, ir.EEnum):
+        if isinstance(e, PEnum):
             return self.literal(e.ctor)
         if isinstance(e, ir.EVar):
             return f"{self.proc_ids[proc]}.{self.var_ids[proc][e.slot]}"
-        if isinstance(e, ir.ENot):
+        if isinstance(e, PNot):
             return f"!{self.expr(e.sub, proc)}"
-        if isinstance(e, ir.EBin):
+        if isinstance(e, PBin):
             op = _BINARY_OPS[e.op]
             return f"({self.expr(e.left, proc)} {op} {self.expr(e.right, proc)})"
         if isinstance(e, ir.EChanReady):
@@ -186,6 +176,7 @@ class _Emitter:
         return f"{self.chan_ids[e.chan]}.q0_{e.index}"
 
     def prop(self, p: Prop) -> str:
+        """Render an ltl formula: atoms name any process, `!` parenthesizes."""
         if isinstance(p, PBool):
             return self.literal(p.value)
         if isinstance(p, PEnum):
@@ -383,19 +374,18 @@ class _Emitter:
         lines.append("  TRANS")
         lines.append("\n    |\n".join(disjuncts) + ";")
 
-        if self.fairness:
-            for pid in self.proc_ids:
-                lines.append(
-                    f"  JUSTICE {self.mover_var} = {self.mover_syms[pid]}"
-                    f" | !{self.enabled_ids[pid]};"
-                )
+        for pid in self.proc_ids:
+            lines.append(
+                f"  JUSTICE {self.mover_var} = {self.mover_syms[pid]}"
+                f" | !{self.enabled_ids[pid]};"
+            )
         lines.extend(f"  {spec}" for spec in specs)
         return "\n".join(lines) + "\n"
 
 
-def emit_smv(system: SystemInstance, automata, fairness: bool = True) -> SmvDocument:
+def emit_smv(system: SystemInstance, automata) -> SmvDocument:
     """Encode the woven system (faults included) as SMV module texts."""
-    emitter = _Emitter(system, tuple(automata), fairness)
+    emitter = _Emitter(system, tuple(automata))
     channel_modules = tuple(
         emitter.channel_module(i) for i in range(len(system.channels))
     )

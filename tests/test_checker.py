@@ -129,6 +129,44 @@ def test_eval_prop_enum_comparison():
     assert eval_prop(PNot(PBin("==", atom, PEnum("Commit"))), state) is True
 
 
+def test_eval_prop_every_node():
+    """Atoms of a process other than the first, enum == and !=, ->, || and !."""
+    state = GlobalState(
+        procs=(ProcState(0, (False, "Ready")), ProcState(2, ("Abort", True))),
+        chans=(),
+    )
+    resp = PAtom(proc=1, slot=0, proc_name="w2", var_name="resp", type=None)
+    done = PAtom(proc=1, slot=1, proc_name="w2", var_name="done", type=None)
+    cases = [
+        (resp, "Abort"),
+        (done, True),
+        (PBin("==", resp, PEnum("Abort")), True),
+        (PBin("==", resp, PEnum("Ready")), False),
+        (PBin("!=", resp, PEnum("Ready")), True),
+        (PBin("!=", resp, PEnum("Abort")), False),
+        (PBin("->", done, PBool(False)), False),
+        (PBin("->", PBool(False), PNot(done)), True),
+        (PBin("->", done, done), True),
+        (PBin("||", PBool(False), done), True),
+        (PBin("||", PNot(done), PBool(False)), False),
+        (PNot(done), False),
+        (PNot(PBin("==", resp, PEnum("Ready"))), True),
+    ]
+    for prop, expected in cases:
+        assert eval_prop(prop, state) == expected, prop
+
+
+def test_eval_prop_rejects_temporal_operators():
+    empty = GlobalState(procs=(), chans=())
+    for prop in (
+        PTemporal("G", PBool(True)),
+        PNot(PTemporal("F", PBool(False))),
+        PBin("||", PBool(False), PTemporal("G", PBool(True))),
+    ):
+        with pytest.raises(UnsupportedFormula):
+            eval_prop(prop, empty)
+
+
 # ---------------------------------------------------------------------------
 # Pattern extraction
 

@@ -1,8 +1,12 @@
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sandalc
 from sandalc.cli import run
 from sandalc.corpus import corpus
 
@@ -198,14 +202,126 @@ def test_deep_nesting_is_a_usage_error_not_a_crash(text, tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+# ---------------------------------------------------------------------------
+# Expression depth: left-associative chains open no nesting level, so the
+# tree of a whole expression is bounded on its own.  Each case maps a depth to
+# the model source and the text just before the expression on its line.
+
+MAX_EXPR_DEPTH = 256
+
+
+def _chain(n, op, atom="x"):
+    return f" {op} ".join([atom] * n)
+
+
+DEPTH = {
+    "and": lambda d: (_in_body("x = " + _chain(d, "&&")), "x = "),
+    "or": lambda d: (_in_body("x = " + _chain(d, "||")), "x = "),
+    "parens": lambda d: (_in_body("x = x || (" + _chain(d - 1, "&&") + ")"), "x = "),
+    "in_ifs": lambda d: (
+        _in_body("if x { " * 63 + "x = " + _chain(d, "&&") + " }" * 63), "x = "
+    ),
+    "ltl": lambda d: (
+        "proc P() { var x bool }\ninit { p: P() }\n"
+        "ltl { G (true || " + _chain(d - 2, "||", "p.x") + ") }\n",
+        "ltl { ",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEPTH))
+def test_expression_depth_at_the_bound_is_accepted(case, tmp_path, capsys):
+    source, _ = DEPTH[case](MAX_EXPR_DEPTH)
+    model = tmp_path / "deep.sandal"
+    model.write_text(source)
+    codes = _run_all(model, tmp_path)
+    assert codes == {"check": 0, "compile": 0, "dump-ir": 0}
+    assert capsys.readouterr().err == ""
+
+
+def _expression_error(model, source, prefix):
+    lines = source.splitlines()
+    line = next(i for i, text in enumerate(lines) if prefix in text)
+    col = lines[line].index(prefix) + len(prefix)
+    message = f"expression is deeper than {MAX_EXPR_DEPTH} levels"
+    return f"{model}:{line + 1}:{col + 1}: {message}\n"
+
+
+@pytest.mark.parametrize("case", sorted(DEPTH))
+def test_expression_depth_past_the_bound_is_a_parse_error(case, tmp_path, capsys):
+    source, prefix = DEPTH[case](MAX_EXPR_DEPTH + 1)
+    model = tmp_path / "deep.sandal"
+    model.write_text(source)
+    codes = _run_all(model, tmp_path)
+    assert codes == {"check": 2, "compile": 2, "dump-ir": 2}
+    assert capsys.readouterr().err == _expression_error(model, source, prefix) * 3
+
+
+def test_thousand_operand_chain_is_a_usage_error_not_a_crash(tmp_path, capsys):
+    source = _in_body("x = " + _chain(1000, "&&"))
+    model = tmp_path / "long.sandal"
+    model.write_text(source)
+    codes = _run_all(model, tmp_path)
+    assert codes == {"check": 2, "compile": 2, "dump-ir": 2}
+    assert capsys.readouterr().err == _expression_error(model, source, "x = ") * 3
+
+
+# ---------------------------------------------------------------------------
+# A reader that closes stdout early (`sandalc ... | head`) ends the run
+# quietly with 128 + SIGPIPE.
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("command", ["check", "dump-ir"])
+def test_closed_stdout_exits_quietly(command, capsys, monkeypatch):
+    model = Path(__file__).parent / "golden" / "conditions.sandal"
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = run([command, str(model)])
+    assert code == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_larger_than_its_buffer(tmp_path):
+    """The reader closes after a few bytes of a megabyte of dump-ir text."""
+    body = "\n".join(["  x = !x"] * 10_000)
+    model = tmp_path / "long.sandal"
+    model.write_text(
+        f"proc P() {{ var x bool\n{body}\n}}\ninit {{ p: P(), q: P() }}\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(sandalc.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # exercise the default, buffered stdout
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sandalc.cli", "dump-ir", str(model)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(16) == b"process p: 10002"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert err == b""
+
+
 def test_property_selector(paths, capsys):
     assert run(["check", paths["2pc_nofault"], "--property", "1"]) == 0
     assert run(["check", paths["2pc_nofault"], "--property", "2"]) == 2
 
 
-def test_fairness_flag_accepted(paths, capsys):
-    assert run(["check", paths["2pc_nofault"], "--fairness", "off"]) == 0
-    assert run(["check", paths["2pc_drop"], "--fairness", "off"]) == 1
+@pytest.mark.parametrize("command", ["check", "compile"])
+def test_fairness_flag_is_a_usage_error(paths, command, tmp_path, capsys):
+    argv = [command, paths["2pc_nofault"], "--fairness", "off"]
+    if command == "compile":
+        argv += ["-o", str(tmp_path / "out.smv")]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --fairness off" in capsys.readouterr().err
 
 
 def test_unsupported_formula_is_an_error(tmp_path, capsys):

@@ -52,15 +52,6 @@ def test_unmarked_process_returned_identical():
     assert report.drop_transitions == {}
 
 
-def test_weaving_is_idempotent():
-    built = build_model(corpus_source("2pc_allfaults"))
-    once, _ = weave_system(built.unwoven)
-    twice, report2 = weave_system(once)
-    assert twice.automata == once.automata
-    assert report2.shutdown_transitions == {}
-    assert all(count == 0 for count in report2.drop_transitions.values())
-
-
 def test_shutdown_includes_mid_handshake_locations():
     """A sender can crash between its two handshake steps."""
     source = (

@@ -58,6 +58,13 @@ def test_illegal_character_is_positioned():
     assert err.value.pos.col == 7
 
 
+def test_only_ascii_digits_make_numbers():
+    """'²' passes str.isdigit() but not int(); it is no number here."""
+    with pytest.raises(LexError, match="illegal character") as err:
+        tokenize("init { c: channel [²] { bool } }")
+    assert err.value.pos.col == 20
+
+
 def test_unknown_fault_marker_rejected():
     with pytest.raises(LexError) as err:
         tokenize("p : P() @explode")

@@ -100,6 +100,15 @@ def test_buffered_capacity_required_and_positive():
         parse_source("init { c: channel [0] { bool } }")
 
 
+def test_buffer_capacity_of_any_length_is_parsed_or_rejected():
+    model = parse_source("init { c: channel [" + "0" * 5000 + "7] { bool } }")
+    assert model.init_block[0].payload.type.capacity == 7
+    for digits in ("1" * 10, "9" * 5000):  # int() refuses past 4300 digits
+        with pytest.raises(ParseError, match="buffer capacity is too large") as err:
+            parse_source("init { c: channel [" + digits + "] { bool } }")
+        assert (err.value.pos.line, err.value.pos.col) == (1, 20)
+
+
 def test_multi_payload_channel_type():
     model = parse_source("init { c: channel { bool, bool } }")
     assert len(model.init_block[0].payload.type.payload) == 2

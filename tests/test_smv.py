@@ -11,9 +11,9 @@ from sandalc.smv import emit_smv
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def emit(source, fairness=True):
+def emit(source):
     built = build_model(source)
-    return emit_smv(built.system, built.woven.automata, fairness=fairness)
+    return emit_smv(built.system, built.woven.automata)
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -47,6 +47,7 @@ def test_two_phase_commit_document_structure():
     # skip edges for dropped channels appear as extra transitions in main:
     # each dropped send adds one unconditional location jump
     assert doc.main_module.count("en_arbiter_") >= 27 + 6  # crashes + drops included
+    assert doc.main_module.count("\n  JUSTICE mover = m_") == 3  # one per process
 
 
 def test_empty_system_emits_bare_main():
@@ -55,13 +56,6 @@ def test_empty_system_emits_bare_main():
     assert doc.process_modules == ()
     assert doc.spec_lines == ()
     assert "MODULE main" in doc.main_module
-
-
-def test_fairness_flag_controls_justice_lines():
-    with_fair = emit(corpus_source("2pc_nofault"), fairness=True).render()
-    without = emit(corpus_source("2pc_nofault"), fairness=False).render()
-    assert "JUSTICE" in with_fair
-    assert "JUSTICE" not in without
 
 
 def test_reserved_word_constructors_are_sanitized():
