@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import os
 import sys
 
@@ -164,6 +165,13 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    if isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+        # Under `python -u` the text layer writes to the raw file and ignores
+        # a short write, so a closed pipe would lose output without an error.
+        sys.stdout = io.TextIOWrapper(
+            io.BufferedWriter(sys.stdout.buffer), encoding=sys.stdout.encoding,
+            errors=sys.stdout.errors, line_buffering=True,
+        )
     sys.exit(run())
 
 

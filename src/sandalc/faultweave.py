@@ -10,7 +10,9 @@ ready flag left set.
 
 Drop: every send over a marked channel gets an unconditional alternative that
 jumps from the send's entry straight to its exit with no channel effect; the
-sender cannot tell the difference.
+sender cannot tell the difference.  The weaver finds the sends by their edges:
+a `send.buffered` edge spans the whole send, and a rendezvous send runs from
+its `send.fire` edge to the `send.done` edge that leaves the middle location.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import NO_POS
-from .ir import DROP, SHUTDOWN, TRUE, CompiledSystem, ProcessAutomaton, Transition
+from .ir import TRUE, CompiledSystem, ProcessAutomaton, Transition
 from .sema import SystemInstance
 
 
@@ -42,16 +44,7 @@ def weave_shutdown(automaton: ProcessAutomaton) -> ProcessAutomaton:
     """Add the absorbing shutdown location and a crash edge from every location."""
     shutdown_loc = automaton.n_locations
     crashes = tuple(
-        Transition(
-            src=loc,
-            dst=shutdown_loc,
-            guard=TRUE,
-            actions=(),
-            kind="shutdown",
-            desc="shutdown",
-            pos=NO_POS,
-            tag=SHUTDOWN,
-        )
+        Transition(loc, shutdown_loc, TRUE, (), "shutdown", "shutdown", NO_POS)
         for loc in range(automaton.n_locations)
     )
     return replace(
@@ -66,30 +59,27 @@ def weave_drop(
     system: SystemInstance, automata: tuple[ProcessAutomaton, ...]
 ) -> tuple[tuple[ProcessAutomaton, ...], dict[str, int]]:
     """Give every send over a dropped channel a skip edge. Returns counts per channel."""
-    dropped = {i for i, chan in enumerate(system.channels) if chan.drop_fault}
     counts = {chan.name: 0 for chan in system.channels if chan.drop_fault}
     woven = []
     for automaton in automata:
-        todo = [site for site in automaton.send_sites if site.chan in dropped]
-        if not todo:
-            woven.append(automaton)
-            continue
+        sends = [
+            t for t in automaton.transitions
+            if t.kind in ("send.fire", "send.buffered")
+            and system.channels[t.actions[0].chan].drop_fault
+        ]
+        # A rendezvous skip ends where the send.done edge from the middle
+        # location ends; a shutdown process has a crash edge there too.
+        done = {t.src: t.dst for t in automaton.transitions if t.kind == "send.done"}
         skips = tuple(
-            Transition(
-                src=site.src,
-                dst=site.dst,
-                guard=TRUE,
-                actions=(),
-                kind="drop",
-                desc=f"drop {site.desc}",
-                pos=site.pos,
-                tag=DROP,
-            )
-            for site in todo
+            Transition(t.src, done[t.dst] if t.kind == "send.fire" else t.dst,
+                       TRUE, (), "drop", f"drop {t.desc}", t.pos)
+            for t in sends
         )
-        for site in todo:
-            counts[system.channels[site.chan].name] += 1
-        woven.append(replace(automaton, transitions=automaton.transitions + skips))
+        for t in sends:
+            counts[system.channels[t.actions[0].chan].name] += 1
+        if skips:
+            automaton = replace(automaton, transitions=automaton.transitions + skips)
+        woven.append(automaton)
     return tuple(woven), counts
 
 
@@ -104,7 +94,5 @@ def weave_system(compiled: CompiledSystem) -> tuple[CompiledSystem, WeaveReport]
             automaton = weave_shutdown(automaton)
         automata.append(automaton)
     woven, drop_counts = weave_drop(system, tuple(automata))
-    report = WeaveReport(
-        shutdown_transitions=shutdown_counts, drop_transitions=drop_counts
-    )
+    report = WeaveReport(shutdown_transitions=shutdown_counts, drop_transitions=drop_counts)
     return CompiledSystem(instance=system, automata=woven), report

@@ -1,13 +1,20 @@
 """Lowering of process bodies into guarded transition automata.
 
 Each statement contributes a fragment of locations and transitions; a process
-automaton is the concatenation of its statements' fragments.  Rendezvous
+automaton is the concatenation of its statements' fragments.  Most statements
+are one edge to a fresh location (`_Builder.step`); assignments, initialized
+`var`s and receive expressions share one store path, and `peek` is the
+buffered `recv` without its pop.  Rendezvous
 communication uses the three-variable handshake (ready flag, received flag,
 one-slot value buffer): a send occupies two transitions through an
 intermediate location, a receive is a single transition, and the sender's
 final step resets the flags so the channel can be reused.  Guards and values
 are built from sema's literal, not and binary nodes plus EVar and six channel
 reads, so the checker evaluates them and ltl propositions alike.
+
+Each edge is stated once: its fault tag follows from its kind
+(`timeout.fail`, `drop` and `shutdown` are the fault kinds), and the weaver
+finds every send by its `send.fire` or `send.buffered` edge.
 
 Loops are unrolled (array bindings are static after instantiation), so every
 automaton is acyclic: no transition leads back to a location its process has
@@ -82,6 +89,8 @@ IrExpr = (
 
 TRUE = PBool(True)
 
+_FAULT_TAGS = {"timeout.fail": TIMEOUT, "drop": DROP, "shutdown": SHUTDOWN}
+
 
 # ---------------------------------------------------------------------------
 # Actions (applied in order, atomically with the guard check)
@@ -126,8 +135,8 @@ class APop:
 
 Action = ASetVar | ABeginSend | AFinishSend | AMarkReceived | APush | APop
 
-# One outgoing edge of a branch: (guard, actions, kind, tag).
-_Branch = tuple[IrExpr, tuple[Action, ...], str, str]
+# One outgoing edge of a branch: (guard, actions, kind).
+_Branch = tuple[IrExpr, tuple[Action, ...], str]
 
 
 # ---------------------------------------------------------------------------
@@ -143,23 +152,16 @@ class Transition:
     kind: str  # e.g. "send.fire", "recv", "if.then", "shutdown"
     desc: str  # statement rendering for traces
     pos: Pos
-    tag: str = NORMAL  # normal | timeout | drop | shutdown
 
     @property
+    def tag(self) -> str:
+        """normal | timeout | drop | shutdown, fixed by the kind."""
+        return _FAULT_TAGS.get(self.kind, NORMAL)
+
+    @cached_property
     def label(self) -> str:
         pos_part = "" if self.pos == NO_POS else f" @{self.pos}"
         return f"{self.desc}{pos_part} [{self.kind}]"
-
-
-@dataclass(frozen=True)
-class SendSite:
-    """Entry and exit locations of one lowered send statement."""
-
-    chan: int
-    src: int
-    dst: int
-    desc: str
-    pos: Pos
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,6 @@ class ProcessAutomaton:
     terminal: int
     transitions: tuple[Transition, ...]
     locals: tuple[SlotInfo, ...]
-    send_sites: tuple[SendSite, ...]
     shutdown_loc: int | None = None
 
     @cached_property
@@ -201,7 +202,6 @@ class _Builder:
     def __init__(self) -> None:
         self.next_loc = 0
         self.transitions: list[Transition] = []
-        self.send_sites: list[SendSite] = []
         self.alias: dict[int, int] = {}
 
     def fresh(self) -> int:
@@ -221,40 +221,37 @@ class _Builder:
             self.alias[loc] = into
         return into
 
-    def add(self, src, dst, guard, actions, kind, desc, pos, tag=NORMAL) -> None:
-        self.transitions.append(
-            Transition(src, dst, guard, tuple(actions), kind, desc, pos, tag)
-        )
+    def add(self, src, dst, guard, actions, kind, desc, pos) -> None:
+        self.transitions.append(Transition(src, dst, guard, tuple(actions), kind, desc, pos))
+
+    def step(self, src, guard, actions, kind, desc, pos) -> int:
+        """Add one edge from src to a fresh location and return that location."""
+        dst = self.fresh()
+        self.add(src, dst, guard, actions, kind, desc, pos)
+        return dst
 
     def build(
         self, name: str, entry: int, terminal: int, locals_: tuple[SlotInfo, ...]
     ) -> ProcessAutomaton:
         # Renumber locations compactly and deterministically: entry first,
         # then in order of appearance along the transition list.
+        # The terminal is the destination of some edge: an empty body still
+        # lowers to one noop step.
         numbering: dict[int, int] = {self.resolve(entry): 0}
         for t in self.transitions:
             for loc in (self.resolve(t.src), self.resolve(t.dst)):
-                if loc not in numbering:
-                    numbering[loc] = len(numbering)
-        term = self.resolve(terminal)
-        if term not in numbering:
-            numbering[term] = len(numbering)
+                numbering.setdefault(loc, len(numbering))
         transitions = tuple(
             replace(t, src=numbering[self.resolve(t.src)], dst=numbering[self.resolve(t.dst)])
             for t in self.transitions
-        )
-        sites = tuple(
-            replace(s, src=numbering[self.resolve(s.src)], dst=numbering[self.resolve(s.dst)])
-            for s in self.send_sites
         )
         return ProcessAutomaton(
             name=name,
             n_locations=len(numbering),
             entry=0,
-            terminal=numbering[term],
+            terminal=numbering[self.resolve(terminal)],
             transitions=transitions,
             locals=locals_,
-            send_sites=sites,
         )
 
 
@@ -314,9 +311,7 @@ class _Lowerer:
 
     def lower_block(self, block: ast.Block, entry: int) -> int:
         if not block.stmts:
-            exit_ = self.builder.fresh()
-            self.builder.add(entry, exit_, TRUE, (), "noop", "skip", block.pos)
-            return exit_
+            return self.builder.step(entry, TRUE, (), "noop", "skip", block.pos)
         loc = entry
         for stmt in block.stmts:
             loc = self.lower_stmt(stmt, loc)
@@ -326,13 +321,12 @@ class _Lowerer:
         if isinstance(stmt, ast.VarDecl):
             return self.lower_var(stmt, entry)
         if isinstance(stmt, ast.Assign):
-            return self.lower_assign(stmt, entry)
+            slot = self.info.assign_slots[id(stmt)]
+            return self.lower_store(slot, stmt.value, stmt.name, "assign", stmt.pos, entry)
         if isinstance(stmt, ast.Send):
             return self.lower_send(stmt, entry)
-        if isinstance(stmt, ast.Recv):
+        if isinstance(stmt, (ast.Recv, ast.Peek)):
             return self.lower_recv(stmt, entry)
-        if isinstance(stmt, ast.Peek):
-            return self.lower_peek(stmt, entry)
         if isinstance(stmt, ast.If):
             return self.lower_if(stmt, entry)
         if isinstance(stmt, ast.For):
@@ -340,34 +334,29 @@ class _Lowerer:
         if isinstance(stmt, ast.Choice):
             return self.lower_choice(stmt, entry)
         assert isinstance(stmt, ast.ExprStmt)
-        exit_ = self.builder.fresh()
-        self.builder.add(entry, exit_, TRUE, (), "expr", print_expr(stmt.expr), stmt.pos)
-        return exit_
+        return self.builder.step(entry, TRUE, (), "expr", print_expr(stmt.expr), stmt.pos)
 
     def lower_var(self, stmt: ast.VarDecl, entry: int) -> int:
         slot = self.info.decl_slots[id(stmt)]
-        desc = f"var {stmt.name}"
-        if isinstance(stmt.init, ast.RecvExpr):
-            return self.lower_recv_expr(stmt.init, slot, desc, stmt.pos, entry)
-        exit_ = self.builder.fresh()
-        if stmt.init is None:
-            value: IrExpr = _const_to_expr(self.info.slots[slot].zero)
-        else:
-            value = self.compile_expr(stmt.init)
-            desc += f" = {print_expr(stmt.init)}"
-        self.builder.add(entry, exit_, TRUE, (ASetVar(slot, value),), "var", desc, stmt.pos)
-        return exit_
+        lhs = f"var {stmt.name}"
+        if stmt.init is not None:
+            return self.lower_store(slot, stmt.init, lhs, "var", stmt.pos, entry)
+        zero = ASetVar(slot, _const_to_expr(self.info.slots[slot].zero))
+        return self.builder.step(entry, TRUE, (zero,), "var", lhs, stmt.pos)
 
-    def lower_assign(self, stmt: ast.Assign, entry: int) -> int:
-        slot = self.info.assign_slots[id(stmt)]
-        if isinstance(stmt.value, ast.RecvExpr):
-            return self.lower_recv_expr(stmt.value, slot, stmt.name, stmt.pos, entry)
+    def lower_store(
+        self, slot: int, rhs: ast.Expr, lhs: str, kind: str, pos: Pos, entry: int
+    ) -> int:
+        """`lhs = rhs` into a slot.  A timeout_recv or nonblock_recv on the
+        right has two edges that join at once, each storing its outcome."""
+        if not isinstance(rhs, ast.RecvExpr):
+            store = ASetVar(slot, self.compile_expr(rhs))
+            return self.builder.step(entry, TRUE, (store,), kind, f"{lhs} = {print_expr(rhs)}", pos)
+        text, taken, untaken = self._branches(rhs)
         exit_ = self.builder.fresh()
-        desc = f"{stmt.name} = {print_expr(stmt.value)}"
-        self.builder.add(
-            entry, exit_, TRUE, (ASetVar(slot, self.compile_expr(stmt.value)),),
-            "assign", desc, stmt.pos,
-        )
+        for (guard, actions, branch_kind), result in ((taken, True), (untaken, False)):
+            stored = actions + (ASetVar(slot, PBool(result)),)
+            self.builder.add(entry, exit_, guard, stored, branch_kind, f"{lhs} = {text}", pos)
         return exit_
 
     def lower_send(self, stmt: ast.Send, entry: int) -> int:
@@ -375,24 +364,13 @@ class _Lowerer:
         payload = tuple(self.compile_expr(v) for v in stmt.values)
         values = ", ".join(print_expr(v) for v in stmt.values)
         desc = f"send({self.chan_name(chan)}, {values})"
-        exit_ = self.builder.fresh()
+        step = self.builder.step
         if self.chan_type(chan).is_buffered:
-            self.builder.add(
-                entry, exit_, EChanNotFull(chan), (APush(chan, payload),),
-                "send.buffered", desc, stmt.pos,
-            )
-        else:
-            mid = self.builder.fresh()
-            self.builder.add(
-                entry, mid, PNot(EChanReady(chan)), (ABeginSend(chan, payload),),
-                "send.fire", desc, stmt.pos,
-            )
-            self.builder.add(
-                mid, exit_, EChanReceived(chan), (AFinishSend(chan),),
-                "send.done", desc, stmt.pos,
-            )
-        self.builder.send_sites.append(SendSite(chan, entry, exit_, desc, stmt.pos))
-        return exit_
+            return step(entry, EChanNotFull(chan), (APush(chan, payload),),
+                        "send.buffered", desc, stmt.pos)
+        mid = step(entry, PNot(EChanReady(chan)), (ABeginSend(chan, payload),),
+                   "send.fire", desc, stmt.pos)
+        return step(mid, EChanReceived(chan), (AFinishSend(chan),), "send.done", desc, stmt.pos)
 
     def _recv_guard(self, chan: int) -> IrExpr:
         if self.chan_type(chan).is_buffered:
@@ -408,92 +386,56 @@ class _Lowerer:
         copies = tuple(ASetVar(slot, EChanBufItem(chan, i)) for i, slot in enumerate(slots))
         return copies + (AMarkReceived(chan),)
 
-    def lower_recv(self, stmt: ast.Recv, entry: int) -> int:
+    def lower_recv(self, stmt: ast.Recv | ast.Peek, entry: int) -> int:
+        """recv, or peek: the buffered recv without its trailing pop (sema
+        rejects a peek on a rendezvous channel)."""
         chan = self.channel_of(stmt.channel)
         slots = self.info.target_slots[id(stmt)]
-        desc = f"recv({self.chan_name(chan)}, {', '.join(stmt.targets)})"
-        exit_ = self.builder.fresh()
-        self.builder.add(
-            entry, exit_, self._recv_guard(chan), self._recv_actions(chan, slots),
-            "recv", desc, stmt.pos,
-        )
-        return exit_
-
-    def lower_peek(self, stmt: ast.Peek, entry: int) -> int:
-        chan = self.channel_of(stmt.channel)
-        slots = self.info.target_slots[id(stmt)]
-        desc = f"peek({self.chan_name(chan)}, {', '.join(stmt.targets)})"
-        exit_ = self.builder.fresh()
-        copies = tuple(ASetVar(slot, EChanHeadItem(chan, i)) for i, slot in enumerate(slots))
-        self.builder.add(
-            entry, exit_, EChanNotEmpty(chan), copies, "peek", desc, stmt.pos
-        )
-        return exit_
+        form = "recv" if isinstance(stmt, ast.Recv) else "peek"
+        desc = f"{form}({self.chan_name(chan)}, {', '.join(stmt.targets)})"
+        actions = self._recv_actions(chan, slots)
+        if form == "peek":
+            actions = actions[:-1]
+        return self.builder.step(entry, self._recv_guard(chan), actions, form, desc, stmt.pos)
 
     def _branches(self, cond: ast.Expr) -> tuple[str, _Branch, _Branch]:
         """A condition's text and its taken and untaken edges."""
         if not isinstance(cond, ast.RecvExpr):
             guard = self.compile_expr(cond)
-            taken = (guard, (), "if.then", NORMAL)
-            return print_expr(cond), taken, (PNot(guard), (), "if.else", NORMAL)
+            return print_expr(cond), (guard, (), "if.then"), (PNot(guard), (), "if.else")
         chan = self.channel_of(cond.channel)
         slots = self.info.target_slots[id(cond)]
         text = f"{cond.form}({self.chan_name(chan)}, {', '.join(cond.targets)})"
         guard = self._recv_guard(chan)
         if cond.form == "timeout_recv":
-            taken = (guard, self._recv_actions(chan, slots), "timeout.ok", NORMAL)
+            taken = (guard, self._recv_actions(chan, slots), "timeout.ok")
             # The failure branch is unconditionally enabled: delivery may miss
             # its window even when a sender stands ready.
-            return text, taken, (TRUE, (), "timeout.fail", TIMEOUT)
-        taken = (guard, self._recv_actions(chan, slots), "nonblock.ok", NORMAL)
-        return text, taken, (PNot(guard), (), "nonblock.fail", NORMAL)
-
-    def lower_recv_expr(
-        self, expr: ast.RecvExpr, result_slot: int, lhs: str, pos: Pos, entry: int
-    ) -> int:
-        """var/assign whose right-hand side is timeout_recv or nonblock_recv:
-        both branches join at once and store the outcome in the result slot."""
-        text, taken, untaken = self._branches(expr)
-        desc = f"{lhs} = {text}"
-        exit_ = self.builder.fresh()
-        for (guard, actions, kind, tag), result in ((taken, True), (untaken, False)):
-            stored = actions + (ASetVar(result_slot, PBool(result)),)
-            self.builder.add(entry, exit_, guard, stored, kind, desc, pos, tag)
-        return exit_
+            return text, taken, (TRUE, (), "timeout.fail")
+        taken = (guard, self._recv_actions(chan, slots), "nonblock.ok")
+        return text, taken, (PNot(guard), (), "nonblock.fail")
 
     def lower_if(self, stmt: ast.If, entry: int) -> int:
         text, taken, untaken = self._branches(stmt.cond)
-
-        def branch(dst: int, edge: _Branch) -> None:
-            guard, actions, kind, tag = edge
-            self.builder.add(entry, dst, guard, actions, kind, f"if {text}", stmt.pos, tag)
-
-        then_entry = self.builder.fresh()
-        branch(then_entry, taken)
+        desc = f"if {text}"
+        then_entry = self.builder.step(entry, *taken, desc, stmt.pos)
         exit_ = self.lower_block(stmt.then, then_entry)
         if stmt.els is None:
-            branch(exit_, untaken)
+            self.builder.add(entry, exit_, *untaken, desc, stmt.pos)
         else:
-            else_entry = self.builder.fresh()
-            branch(else_entry, untaken)
+            else_entry = self.builder.step(entry, *untaken, desc, stmt.pos)
             self.builder.merge(self.lower_block(stmt.els, else_entry), exit_)
         return exit_
 
     def lower_for(self, stmt: ast.For, entry: int) -> int:
         channels = self.channel_list_of(stmt.iterable)
         if not channels:
-            exit_ = self.builder.fresh()
-            self.builder.add(entry, exit_, TRUE, (), "noop", "for (empty)", stmt.pos)
-            return exit_
+            return self.builder.step(entry, TRUE, (), "noop", "for (empty)", stmt.pos)
         loc = entry
-        saved = self.loop_env.get(id(stmt))
         for chan in channels:
             self.loop_env[id(stmt)] = chan
             loc = self.lower_block(stmt.body, loc)
-        if saved is None:
-            del self.loop_env[id(stmt)]
-        else:
-            self.loop_env[id(stmt)] = saved
+        del self.loop_env[id(stmt)]
         return loc
 
     def lower_choice(self, stmt: ast.Choice, entry: int) -> int:

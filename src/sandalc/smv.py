@@ -17,6 +17,7 @@ separate fault handling.  Emission is byte-deterministic for a given system.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from . import ir
@@ -62,7 +63,7 @@ class _Sanitizer:
     def fresh(self, original: str) -> str:
         """Allocate a unique name without consulting the memo (for names the
         emitter invents itself, which must never alias a user name)."""
-        base = "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in original)
+        base = re.sub(r"[^A-Za-z0-9_]", "_", original)  # SMV identifiers are ASCII
         if not base or base[0].isdigit():
             base = "v_" + base
         candidate = base

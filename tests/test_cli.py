@@ -288,20 +288,24 @@ def test_closed_stdout_exits_quietly(command, capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
-def test_closed_pipe_larger_than_its_buffer(tmp_path):
-    """The reader closes after a few bytes of a megabyte of dump-ir text."""
-    body = "\n".join(["  x = !x"] * 10_000)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_pipe_larger_than_its_buffer(tmp_path, unbuffered):
+    """The reader closes after a few bytes of a megabyte of dump-ir text,
+    with stdout buffered and with PYTHONUNBUFFERED=1."""
+    # One process, so its whole dump is one print: unbuffered, the first
+    # write is the one that comes up short.
+    body = "\n".join(["  x = !x"] * 20_000)
     model = tmp_path / "long.sandal"
-    model.write_text(
-        f"proc P() {{ var x bool\n{body}\n}}\ninit {{ p: P(), q: P() }}\n"
-    )
+    model.write_text(f"proc P() {{ var x bool\n{body}\n}}\ninit {{ p: P() }}\n")
     env = dict(os.environ, PYTHONPATH=str(Path(sandalc.__file__).parents[1]))
-    env.pop("PYTHONUNBUFFERED", None)  # exercise the default, buffered stdout
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
         [sys.executable, "-m", "sandalc.cli", "dump-ir", str(model)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
-    assert proc.stdout.read(16) == b"process p: 10002"
+    assert proc.stdout.read(16) == b"process p: 20002"
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 141

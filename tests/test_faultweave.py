@@ -12,6 +12,15 @@ def unwoven_automaton(source, index=0):
     return build_model(source).unwoven.automata[index]
 
 
+def send_channels(automaton):
+    """The channel of every send statement, found by the send's first edge."""
+    return [
+        t.actions[0].chan
+        for t in automaton.transitions
+        if t.kind in ("send.fire", "send.buffered")
+    ]
+
+
 THREE_STATEMENTS = (
     "proc P() {\n"
     "  var a bool\n"
@@ -107,8 +116,9 @@ def test_single_send_gets_single_drop_edge():
     woven = built.woven.automata[0]
     drops = [t for t in woven.transitions if t.kind == "drop"]
     assert len(drops) == 1
-    site = woven.send_sites[0]
-    assert (drops[0].src, drops[0].dst) == (site.src, site.dst)
+    fire, done = (t for t in woven.transitions if t.kind.startswith("send."))
+    assert (fire.kind, done.kind) == ("send.fire", "send.done")
+    assert (drops[0].src, drops[0].dst) == (fire.src, done.dst)
     assert drops[0].actions == ()
     assert built.report.drop_transitions == {"c": 1}
 
@@ -131,8 +141,8 @@ def test_two_phase_commit_drop_counts_match_send_sites():
     built = build_model(corpus_source("2pc_allfaults"))
     expected = {chan.name: 0 for chan in built.system.channels}
     for automaton in built.unwoven.automata:
-        for site in automaton.send_sites:
-            expected[built.system.channels[site.chan].name] += 1
+        for chan in send_channels(automaton):
+            expected[built.system.channels[chan].name] += 1
     assert built.report.drop_transitions == expected
     # arbiter sends Ready/Commit/Abort per worker-recv channel, workers offer
     # NotReady|Ready per worker-send channel
@@ -168,18 +178,12 @@ def test_report_counts_zero_iff_marker_absent(builds):
         report = built.report
         for proc in built.system.processes:
             assert (report.shutdown_transitions.get(proc.name, 0) > 0) == proc.shutdown_fault
-        for chan in built.system.channels:
-            has_sites = any(
-                site.chan == i
-                for automaton in built.unwoven.automata
-                for site in automaton.send_sites
-                for i in [site.chan]
-                if built.system.channels[site.chan].name == chan.name
-            )
+        sent = {c for automaton in built.unwoven.automata for c in send_channels(automaton)}
+        for i, chan in enumerate(built.system.channels):
             count = report.drop_transitions.get(chan.name, 0)
             if not chan.drop_fault:
                 assert count == 0
-            elif has_sites:
+            elif i in sent:
                 assert count > 0
 
 

@@ -1,7 +1,13 @@
 import pytest
 
 from sandalc.corpus import MODEL_NAMES, corpus_source
-from sandalc.errors import ArityError, NameResolutionError, SandalError, TypeCheckError
+from sandalc.errors import (
+    ArityError,
+    NameResolutionError,
+    ParseError,
+    SandalError,
+    TypeCheckError,
+)
 from sandalc.parser import parse_source
 from sandalc.sema import (
     BOOL,
@@ -369,6 +375,75 @@ DIAGNOSTICS = [
 def test_init_and_ltl_diagnostics(tail, cls, pos, message):
     with pytest.raises(SandalError) as err:
         check(DIAG_HEAD + tail)
+    assert type(err.value) is cls
+    assert str(err.value.pos) == pos
+    assert err.value.message == message
+
+
+def in_body(stmt):
+    """A model whose one template runs `stmt` after declaring `x V`."""
+    return (
+        "data V { A, B }\n"
+        "proc P(c channel { V }, q channel [2] { V }, v V) {\n  var x V\n"
+        f"  {stmt}\n}}\n"
+        "init { c: channel { V }, q: channel [2] { V }, p: P(c, q, A) }\n"
+    )
+
+
+DECLARATION_DIAGNOSTICS = [
+    ("data_no_ctors", "data V { }\ninit {}\n",
+     ParseError, "1:6", "data type 'V' declares no constructors"),
+    ("dup_param", "proc P(a bool, a bool) { }\ninit {}\n",
+     ParseError, "1:16", "duplicate parameter name 'a'"),
+    ("dup_marker", "data V { A, B }\ninit { c: channel { V } @drop @drop }\n",
+     ParseError, "2:31", "duplicate fault marker '@drop'"),
+    ("missing_comma", "proc P(a bool b bool) { }\ninit {}\n",
+     ParseError, "1:15", "expected ',' or ')', found 'b'"),
+    ("not_a_type", "proc P(a true) { }\ninit {}\n",
+     ParseError, "1:10", "expected a type, found 'true'"),
+    ("empty_payload", "init { c: channel { } }\n",
+     ParseError, "1:11", "channel type has an empty payload list"),
+    ("channel_payload", "init { c: channel { channel { bool } } }\n",
+     ParseError, "1:21", "channel payloads must be value types"),
+    ("send_no_value", in_body("send(c)"),
+     ParseError, "4:3", "send needs at least one value after the channel"),
+    ("recv_no_target", in_body("recv(c)"),
+     ParseError, "4:3", "recv needs at least one target variable"),
+    ("peek_no_target", in_body("peek(q)"),
+     ParseError, "4:3", "peek needs at least one target variable"),
+    ("timeout_recv_no_target", in_body("var ok bool = timeout_recv(c)"),
+     ParseError, "4:17", "timeout_recv needs at least one target variable"),
+    ("unknown_name", in_body("x = y"),
+     NameResolutionError, "4:7", "unknown name 'y'"),
+    ("init_type", in_body("var ok bool = A"),
+     TypeCheckError, "4:3", "initializer has type V, variable is bool"),
+    ("assign_type", in_body("x = true"),
+     TypeCheckError, "4:3", "cannot assign bool to 'x' of type V"),
+    ("send_arity", in_body("send(c, A, B)"),
+     ArityError, "4:3", "send carries 2 values, channel payload has 1"),
+    ("channel_as_value", in_body("x = c"),
+     TypeCheckError, "4:7", "expected a value, got channel { V }"),
+    ("value_as_channel", in_body("send(v, A)"),
+     TypeCheckError, "4:8", "expected a channel, got V"),
+    ("dup_data", "data V { A, B }\ndata V { C }\ninit {}\n",
+     NameResolutionError, "2:1", "duplicate data type 'V'"),
+    ("dup_template", "proc P() { }\nproc P() { }\ninit {}\n",
+     NameResolutionError, "2:1", "duplicate process template 'P'"),
+    ("channel_eq", in_body("c == c"),
+     TypeCheckError, "4:5", "cannot compare values of type channel { V }"),
+    ("var_channel", in_body("var d channel { V }"),
+     TypeCheckError, "4:9", "expected a value type (bool or a data type)"),
+]
+
+
+@pytest.mark.parametrize(
+    "source, cls, pos, message",
+    [row[1:] for row in DECLARATION_DIAGNOSTICS],
+    ids=[row[0] for row in DECLARATION_DIAGNOSTICS],
+)
+def test_declaration_and_statement_diagnostics(source, cls, pos, message):
+    with pytest.raises(SandalError) as err:
+        check(source)
     assert type(err.value) is cls
     assert str(err.value.pos) == pos
     assert err.value.message == message

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from sandalc.checker import check_spec, format_trace
 from sandalc.corpus import MODEL_NAMES, corpus_source
 from sandalc.pipeline import build_model
 from sandalc.smv import emit_smv
@@ -84,6 +85,32 @@ def test_bookkeeping_names_dodge_user_names():
     var_names = re.findall(r"^\s{4}(\w+) :", main, re.M)
     assert len(var_names) == len(set(var_names))
     assert "mover_2 : {m_p_2, m_enabled_p, m_none};" in main
+
+
+def test_non_ascii_names_become_distinct_ascii_identifiers():
+    import re
+
+    source = (
+        "data Résp { Ok, Nö, Nü }\n"
+        "proc Wörker(c channel { Résp }) {\n"
+        "  var rü Résp\n"
+        "  var ré Résp = Nü\n"
+        "  recv(c, rü)\n"
+        "}\n"
+        "proc Wärker(c channel { Résp }) { send(c, Nö) }\n"
+        "init { çh: channel { Résp }, wö: Wörker(çh), wä: Wärker(çh) }\n"
+        "ltl { G (wö.rü != Nö) }"
+    )
+    text = emit(source).render()
+    assert text.isascii()
+    assert "{Ok, N_, N__2}" in text
+    for module in text.split("MODULE ")[1:]:
+        names = re.findall(r"^\s{4}(\w+) :", module, re.M)
+        assert len(names) == len(set(names)), module
+    # The checker's trace keeps the source names.
+    built = build_model(source)
+    verdict = check_spec(built.woven, built.system.ltl_specs[0])
+    assert "wö.rü = Nö" in format_trace(built.woven, verdict.counterexample)
 
 
 def test_reserved_instance_names_are_sanitized():
