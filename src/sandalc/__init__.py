@@ -9,7 +9,7 @@ are verified by the built-in explicit-state checker; full models can also be
 emitted as SMV modules for an external symbolic checker.
 """
 
-from .checker import check_liveness, check_safety, check_spec, eval_prop, successors
+from .checker import check_spec, eval_prop, successors
 from .faultweave import weave_system
 from .ir import lower_process, lower_system
 from .parser import parse_model, parse_source
@@ -20,8 +20,6 @@ from .smv import emit_smv
 __all__ = [
     "BuildResult",
     "build_model",
-    "check_liveness",
-    "check_safety",
     "check_spec",
     "emit_smv",
     "eval_prop",

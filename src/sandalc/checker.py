@@ -23,7 +23,9 @@ cannot change a verdict, since no process is enabled at a deadlock, so there
 is no fairness setting.
 
 Guards, action values and propositions share their node set (see sema.py),
-so one evaluator serves all three.
+so one evaluator serves all three.  A transition applies its actions as
+SMV's next() does: every value and payload reads the pre-state, and a later
+write to the same slot wins.
 
 Counterexamples are replayable: applying the recorded labels from the initial
 state reproduces the recorded states exactly.
@@ -108,30 +110,30 @@ def initial_state(cs: CompiledSystem) -> GlobalState:
 # Expression evaluation and action application
 
 
-def _eval(cs: CompiledSystem, e, vars_: tuple, chans: tuple, procs: tuple):
+def _eval(e, vars_: tuple, chans: tuple, procs: tuple):
     """Evaluate a guard or value (an ir.IrExpr) over one process's locals and
     the channels, or a Prop, whose atoms read the locals of any process.
 
     Tests run in order of frequency: a search evaluates its proposition on
-    every state, so binary nodes and atoms come first."""
+    every state, so binary nodes and atoms come first.  `&&`, `||` and `->`
+    skip their right operand when the left decides them."""
     if isinstance(e, PBin):
-        left = _eval(cs, e.left, vars_, chans, procs)
-        right = _eval(cs, e.right, vars_, chans, procs)
+        left = _eval(e.left, vars_, chans, procs)
         if e.op == "&&":
-            return left and right
+            return left and _eval(e.right, vars_, chans, procs)
         if e.op == "||":
-            return left or right
+            return left or _eval(e.right, vars_, chans, procs)
         if e.op == "->":
-            return (not left) or right
+            return (not left) or _eval(e.right, vars_, chans, procs)
         if e.op == "==":
-            return left == right
-        return left != right  # !=
+            return left == _eval(e.right, vars_, chans, procs)
+        return left != _eval(e.right, vars_, chans, procs)  # !=
     if isinstance(e, PAtom):
         return procs[e.proc].vars[e.slot]
     if isinstance(e, PEnum):
         return e.ctor
     if isinstance(e, PNot):
-        return not _eval(cs, e.sub, vars_, chans, procs)
+        return not _eval(e.sub, vars_, chans, procs)
     if isinstance(e, PBool):
         return e.value
     if isinstance(e, ir.EVar):
@@ -143,8 +145,7 @@ def _eval(cs: CompiledSystem, e, vars_: tuple, chans: tuple, procs: tuple):
     if isinstance(e, ir.EChanBufItem):
         return chans[e.chan].buf[e.index]
     if isinstance(e, ir.EChanNotFull):
-        cap = cs.instance.channels[e.chan].type.capacity
-        return len(chans[e.chan].queue) < cap
+        return len(chans[e.chan].queue) < e.capacity
     if isinstance(e, ir.EChanNotEmpty):
         return len(chans[e.chan].queue) > 0
     if isinstance(e, PTemporal):
@@ -153,41 +154,32 @@ def _eval(cs: CompiledSystem, e, vars_: tuple, chans: tuple, procs: tuple):
     return chans[e.chan].queue[0][e.index]
 
 
-def _apply(
-    cs: CompiledSystem, t: Transition, proc_index: int, state: GlobalState
-) -> GlobalState:
-    vars_ = list(state.procs[proc_index].vars)
-    chans = list(state.chans)
+def _apply(t: Transition, proc_index: int, state: GlobalState) -> GlobalState:
+    """The state after `t`: each action reads `state`, a later write wins."""
+    procs, chans = state.procs, state.chans
+    pre = procs[proc_index].vars
+    vars_ = list(pre)
+    post = list(chans)
     for action in t.actions:
         if isinstance(action, ir.ASetVar):
-            vars_[action.slot] = _eval(
-                cs, action.value, tuple(vars_), tuple(chans), state.procs
-            )
+            vars_[action.slot] = _eval(action.value, pre, chans, procs)
         elif isinstance(action, ir.ABeginSend):
-            payload = tuple(
-                _eval(cs, v, tuple(vars_), tuple(chans), state.procs)
-                for v in action.payload
-            )
-            chans[action.chan] = RvState(ready=True, received=False, buf=payload)
+            payload = tuple(_eval(v, pre, chans, procs) for v in action.payload)
+            post[action.chan] = RvState(ready=True, received=False, buf=payload)
         elif isinstance(action, ir.AFinishSend):
-            chans[action.chan] = RvState()
+            post[action.chan] = RvState()
         elif isinstance(action, ir.AMarkReceived):
             old = chans[action.chan]
-            chans[action.chan] = RvState(ready=old.ready, received=True, buf=old.buf)
+            post[action.chan] = RvState(ready=old.ready, received=True, buf=old.buf)
         elif isinstance(action, ir.APush):
-            payload = tuple(
-                _eval(cs, v, tuple(vars_), tuple(chans), state.procs)
-                for v in action.payload
-            )
-            old = chans[action.chan]
-            chans[action.chan] = BufState(queue=old.queue + (payload,))
+            payload = tuple(_eval(v, pre, chans, procs) for v in action.payload)
+            post[action.chan] = BufState(queue=chans[action.chan].queue + (payload,))
         else:
             assert isinstance(action, ir.APop)
-            old = chans[action.chan]
-            chans[action.chan] = BufState(queue=old.queue[1:])
-    procs = list(state.procs)
-    procs[proc_index] = ProcState(loc=t.dst, vars=tuple(vars_))
-    return GlobalState(procs=tuple(procs), chans=tuple(chans))
+            post[action.chan] = BufState(queue=chans[action.chan].queue[1:])
+    new_procs = list(procs)
+    new_procs[proc_index] = ProcState(loc=t.dst, vars=tuple(vars_))
+    return GlobalState(procs=tuple(new_procs), chans=tuple(post))
 
 
 Succ = tuple[int | None, str, GlobalState]
@@ -201,8 +193,8 @@ def successor_transitions(
     for i, automaton in enumerate(cs.automata):
         proc = state.procs[i]
         for t in automaton.by_src.get(proc.loc, ()):
-            if _eval(cs, t.guard, proc.vars, state.chans, state.procs):
-                out.append((i, t, _apply(cs, t, i, state)))
+            if _eval(t.guard, proc.vars, state.chans, state.procs):
+                out.append((i, t, _apply(t, i, state)))
     return out
 
 
@@ -229,7 +221,7 @@ def eval_prop(p: Prop, state: GlobalState) -> Value:
 
     A variable of a shutdown process keeps (and reports) its last value.
     """
-    return _eval(None, p, (), state.chans, state.procs)
+    return _eval(p, (), state.chans, state.procs)
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +319,6 @@ def _require_acyclic(cs: CompiledSystem) -> None:
             ) from None
 
 
-def _deadlocked(succs: list[Succ]) -> bool:
-    return len(succs) == 1 and succs[0][0] is None
-
-
 def _path_to(cs: CompiledSystem, parents, state: GlobalState) -> tuple[Step, ...]:
     steps: list[Step] = []
     while parents[state] is not None:  # a path never stutters
@@ -370,40 +358,27 @@ def _search(
     return Verdict(Result.PASS, None, len(parents))
 
 
-def check_safety(
-    cs: CompiledSystem, prop: Prop, max_states: int = DEFAULT_MAX_STATES
-) -> Verdict:
-    """G(p) fails iff a !p state is reachable; the trace is a shortest path to one."""
-    target = lambda s, succs: not eval_prop(prop, s)
-    return _search(cs, lambda s: True, target, lasso=False, max_states=max_states)
-
-
-def check_liveness(
-    cs: CompiledSystem, pattern: str, prop: Prop, max_states: int = DEFAULT_MAX_STATES
-) -> Verdict:
-    """Search for a shortest lasso that stutters forever in a deadlocked !p state.
-
-    F(p): the deadlock must be reached through !p states only.
-    FG(p), GF(p): any reachable deadlocked !p state will do.
-    """
-    notp = lambda s: not eval_prop(prop, s)
-    if pattern == "F":
-        inside, target = notp, lambda s, succs: _deadlocked(succs)
-    elif pattern in ("FG", "GF"):
-        inside, target = lambda s: True, lambda s, succs: _deadlocked(succs) and notp(s)
-    else:
-        raise UnsupportedFormula(f"not a liveness pattern: {pattern}")
-    return _search(cs, inside, target, lasso=True, max_states=max_states)
-
-
 def check_spec(
     cs: CompiledSystem, spec: ResolvedSpec, max_states: int = DEFAULT_MAX_STATES
 ) -> Verdict:
-    """Dispatch a resolved spec to the safety or liveness checker."""
+    """Decide a G / F / FG / GF spec by one search.
+
+    G(p): a shortest path to a !p state.  F(p): a shortest lasso stuttering
+    forever in a deadlocked state reached through !p states only.  FG(p),
+    GF(p): one stuttering in any reachable deadlocked !p state.  A system
+    with no processes has no successors at all, so it has no deadlock.
+    """
     pattern, prop = extract_pattern(spec.formula)
+    notp = lambda s: not eval_prop(prop, s)
+    anywhere = lambda s: True
+    stuck = lambda succs: len(succs) == 1 and succs[0][0] is None
     if pattern == "G":
-        return check_safety(cs, prop, max_states)
-    return check_liveness(cs, pattern, prop, max_states)
+        inside, target = anywhere, lambda s, succs: notp(s)
+    elif pattern == "F":
+        inside, target = notp, lambda s, succs: stuck(succs)
+    else:
+        inside, target = anywhere, lambda s, succs: stuck(succs) and notp(s)
+    return _search(cs, inside, target, lasso=pattern != "G", max_states=max_states)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,7 @@ class EChanBufItem:
 @dataclass(frozen=True)
 class EChanNotFull:
     chan: int
+    capacity: int
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,9 @@ _FAULT_TAGS = {"timeout.fail": TIMEOUT, "drop": DROP, "shutdown": SHUTDOWN}
 
 
 # ---------------------------------------------------------------------------
-# Actions (applied in order, atomically with the guard check)
+# Actions, applied atomically with the guard check as SMV's next() applies
+# them: every value and payload reads the pre-state, and a later write to the
+# same slot wins
 
 
 @dataclass(frozen=True)
@@ -325,7 +328,7 @@ class _Lowerer:
             return self.lower_store(slot, stmt.value, stmt.name, "assign", stmt.pos, entry)
         if isinstance(stmt, ast.Send):
             return self.lower_send(stmt, entry)
-        if isinstance(stmt, (ast.Recv, ast.Peek)):
+        if isinstance(stmt, ast.Recv):
             return self.lower_recv(stmt, entry)
         if isinstance(stmt, ast.If):
             return self.lower_if(stmt, entry)
@@ -365,8 +368,9 @@ class _Lowerer:
         values = ", ".join(print_expr(v) for v in stmt.values)
         desc = f"send({self.chan_name(chan)}, {values})"
         step = self.builder.step
-        if self.chan_type(chan).is_buffered:
-            return step(entry, EChanNotFull(chan), (APush(chan, payload),),
+        ty = self.chan_type(chan)
+        if ty.is_buffered:
+            return step(entry, EChanNotFull(chan, ty.capacity), (APush(chan, payload),),
                         "send.buffered", desc, stmt.pos)
         mid = step(entry, PNot(EChanReady(chan)), (ABeginSend(chan, payload),),
                    "send.fire", desc, stmt.pos)
@@ -386,12 +390,12 @@ class _Lowerer:
         copies = tuple(ASetVar(slot, EChanBufItem(chan, i)) for i, slot in enumerate(slots))
         return copies + (AMarkReceived(chan),)
 
-    def lower_recv(self, stmt: ast.Recv | ast.Peek, entry: int) -> int:
+    def lower_recv(self, stmt: ast.Recv, entry: int) -> int:
         """recv, or peek: the buffered recv without its trailing pop (sema
         rejects a peek on a rendezvous channel)."""
         chan = self.channel_of(stmt.channel)
         slots = self.info.target_slots[id(stmt)]
-        form = "recv" if isinstance(stmt, ast.Recv) else "peek"
+        form = stmt.form
         desc = f"{form}({self.chan_name(chan)}, {', '.join(stmt.targets)})"
         actions = self._recv_actions(chan, slots)
         if form == "peek":

@@ -313,8 +313,7 @@ class _Parser:
             chan, names = self.parse_messaging_args(values=False)
             if not names:
                 raise ParseError(f"{form} needs at least one target variable", tok.pos)
-            cls = ast.Recv if form == "recv" else ast.Peek
-            return cls(channel=chan, targets=tuple(names), pos=tok.pos)
+            return ast.Recv(form=form, channel=chan, targets=tuple(names), pos=tok.pos)
         if self.at_ident() and self.peek_is("="):
             name = self.advance()
             self.expect("=", "in assignment")
@@ -338,7 +337,8 @@ class _Parser:
         return ast.VarDecl(name=name.text, type=ty, init=init, pos=kw.pos)
 
     def parse_rhs(self) -> ast.Expr:
-        """Right-hand side of `=`: a receive expression or an ordinary expression."""
+        """Right-hand side of `=` or an if condition: a receive expression or an
+        ordinary expression."""
         if self.at("timeout_recv") or self.at("nonblock_recv"):
             return self.parse_recv_expr()
         return self.parse_expr(ltl=False)
@@ -374,10 +374,7 @@ class _Parser:
 
     def parse_if(self) -> ast.If:
         kw = self.expect("if", "to start an if statement")
-        if self.at("timeout_recv") or self.at("nonblock_recv"):
-            cond: ast.Expr = self.parse_recv_expr()
-        else:
-            cond = self.parse_expr(ltl=False)
+        cond = self.parse_rhs()
         then = self.parse_block()
         els = None
         if self.at("else"):

@@ -66,10 +66,9 @@ def _print_stmt(s: ast.Stmt, indent: int, out: list[str]) -> None:
     elif isinstance(s, ast.Send):
         args = ", ".join([print_expr(s.channel)] + [print_expr(v) for v in s.values])
         out.append(f"{pad}send({args})")
-    elif isinstance(s, (ast.Recv, ast.Peek)):
-        kw = "recv" if isinstance(s, ast.Recv) else "peek"
+    elif isinstance(s, ast.Recv):
         args = ", ".join((print_expr(s.channel),) + s.targets)
-        out.append(f"{pad}{kw}({args})")
+        out.append(f"{pad}{s.form}({args})")
     elif isinstance(s, ast.If):
         out.append(f"{pad}if {print_expr(s.cond)} {{")
         _print_block_body(s.then, indent + 1, out)

@@ -390,12 +390,7 @@ class _TemplateChecker:
                     )
         elif isinstance(stmt, ast.Recv):
             chan = self._check_channel(stmt.channel)
-            self.info.target_slots[id(stmt)] = self._check_targets(
-                stmt.targets, chan, stmt.pos
-            )
-        elif isinstance(stmt, ast.Peek):
-            chan = self._check_channel(stmt.channel)
-            if not chan.is_buffered:
+            if stmt.form == "peek" and not chan.is_buffered:
                 raise TypeCheckError("peek needs a buffered channel", stmt.pos)
             self.info.target_slots[id(stmt)] = self._check_targets(
                 stmt.targets, chan, stmt.pos

@@ -25,10 +25,6 @@ from .sema import BoolType, EnumType, PAtom, PBin, PBool, PEnum, PNot, Prop, PTe
 from .sema import SystemInstance, Value, zero_value
 
 
-class EmitError(Exception):
-    pass
-
-
 # Binary operators of guards and ltl formulas, in SMV syntax.
 _BINARY_OPS = {"&&": "&", "||": "|", "->": "->", "==": "=", "!=": "!="}
 
@@ -71,8 +67,6 @@ class _Sanitizer:
         while candidate in _RESERVED or candidate in self.used:
             n += 1
             candidate = f"{base}_{n}"
-            if n > 1000:
-                raise EmitError(f"cannot sanitize identifier '{original}'")
         self.used.add(candidate)
         return candidate
 
@@ -169,8 +163,7 @@ class _Emitter:
         if isinstance(e, ir.EChanBufItem):
             return f"{self.chan_ids[e.chan]}.v{e.index}"
         if isinstance(e, ir.EChanNotFull):
-            cap = self.system.channels[e.chan].type.capacity
-            return f"{self.chan_ids[e.chan]}.len < {cap}"
+            return f"{self.chan_ids[e.chan]}.len < {e.capacity}"
         if isinstance(e, ir.EChanNotEmpty):
             return f"{self.chan_ids[e.chan]}.len > 0"
         assert isinstance(e, ir.EChanHeadItem)

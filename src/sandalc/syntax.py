@@ -146,12 +146,10 @@ class Send(Stmt):
 
 @dataclass(frozen=True)
 class Recv(Stmt):
-    channel: Expr = None  # type: ignore[assignment]
-    targets: tuple[str, ...] = ()
+    """A receive statement: recv, or peek, which leaves the message in its
+    buffered channel."""
 
-
-@dataclass(frozen=True)
-class Peek(Stmt):
+    form: str = "recv"  # or "peek"
     channel: Expr = None  # type: ignore[assignment]
     targets: tuple[str, ...] = ()
 

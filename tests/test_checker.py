@@ -1,8 +1,11 @@
+import sys
 from collections import deque
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import sandalc.checker as checker
 from sandalc.checker import (
     Counterexample,
     GlobalState,
@@ -11,8 +14,6 @@ from sandalc.checker import (
     RvState,
     StateLimitExceeded,
     UnsupportedFormula,
-    check_liveness,
-    check_safety,
     check_spec,
     eval_prop,
     extract_pattern,
@@ -23,15 +24,25 @@ from sandalc.checker import (
 )
 from sandalc.corpus import corpus_source
 from sandalc.pipeline import build_model
-from sandalc.sema import PAtom, PBin, PBool, PEnum, PNot, PTemporal
+from sandalc.sema import PAtom, PBin, PBool, PEnum, PNot, PTemporal, ResolvedSpec
 
 from oracles import build_graph, naive_verdict
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from models import two_phase_commit  # noqa: E402
 
 
 def with_ltl(source: str, formula: str) -> str:
     """Swap the model's ltl block(s) for a single given formula."""
     base = source.split("ltl {")[0].rstrip()
     return f"{base}\nltl {{ {formula} }}\n"
+
+
+def spec_of(pattern: str, prop) -> ResolvedSpec:
+    """The spec that extract_pattern splits into (pattern, prop)."""
+    for op in reversed(pattern):
+        prop = PTemporal(op, prop)
+    return ResolvedSpec(prop, pattern)
 
 
 def checked(source, formula=None, max_states=1_000_000):
@@ -156,6 +167,21 @@ def test_eval_prop_every_node():
         assert eval_prop(prop, state) == expected, prop
 
 
+@pytest.mark.parametrize("op", ["&&", "||", "->"])
+def test_eval_prop_skips_a_right_operand_the_left_decides(monkeypatch, op):
+    calls = []
+    original = checker._eval
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(checker, "_eval", counting)
+    prop = PBin(op, PBool(op == "||"), PNot(PNot(PBool(True))))
+    assert eval_prop(prop, GlobalState(procs=(), chans=())) is (op != "&&")
+    assert len(calls) == 2  # the PBin and its left operand
+
+
 def test_eval_prop_rejects_temporal_operators():
     empty = GlobalState(procs=(), chans=())
     for prop in (
@@ -197,7 +223,7 @@ def test_extract_pattern_rejects_unsupported():
 
 def test_g_true_passes_everywhere(builds):
     for built in builds.values():
-        verdict = check_safety(built.woven, PBool(True))
+        verdict = check_spec(built.woven, spec_of("G", PBool(True)))
         assert verdict.result is Result.PASS
 
 
@@ -250,6 +276,22 @@ def test_states_explored_counts_discovered_states(formula):
     assert verdict.states_explored == 6_680
 
 
+@pytest.mark.parametrize(
+    "formula, result",
+    [
+        ("G (false)", Result.FAIL),
+        ("F (false)", Result.PASS),
+        ("F (G (false))", Result.PASS),
+        ("G (F (false))", Result.PASS),
+    ],
+)
+def test_system_without_processes_has_no_deadlock(formula, result):
+    """No process means no step at all, not even a stutter, so no run refutes
+    a liveness spec; G (false) fails in the initial state."""
+    _, verdict = checked("init { c: channel { bool } }", formula)
+    assert verdict.result is result
+
+
 def test_cyclic_automaton_is_rejected():
     """A back edge would add product cycles the searches cannot see."""
     built = build_model(corpus_source("2pc_nofault"))
@@ -277,7 +319,7 @@ def test_state_limit_exceeded():
 
 def test_f_false_yields_stutter_lasso():
     built = build_model("proc P() {  }\ninit { p: P() }")
-    verdict = check_liveness(built.woven, "F", PBool(False))
+    verdict = check_spec(built.woven, spec_of("F", PBool(False)))
     assert verdict.result is Result.FAIL
     cex = verdict.counterexample
     assert cex.loop is not None
@@ -325,7 +367,7 @@ def test_liveness_lasso_is_shortest(builds, name):
     notp = lambda s: not eval_prop(prop, s)
     anywhere = lambda s: True
     for pattern, through in (("F", notp), ("FG", anywhere), ("GF", anywhere)):
-        cex = check_liveness(built.woven, pattern, prop).counterexample
+        cex = check_spec(built.woven, spec_of(pattern, prop)).counterexample
         assert len(cex.prefix) == _nearest_deadlock(graph, notp, through), pattern
         assert [step.label for step in cex.loop] == ["STUTTER"]
         replay(built.woven, cex)
@@ -382,66 +424,13 @@ def test_liveness_agrees_with_naive_oracle_on_handpicked_specs(builds):
         assert verdict.passed == expected, formula
 
 
-THREE_WORKER_TEMPLATE = """data Response { Ready, NotReady, Commit, Abort }
-proc Arbiter(chRecvs []channel { Response },
-             chSends []channel { Response }) {
-  var determined bool = false
-  for ch in chSends {
-    send(ch, Ready)
-  }
-  var all_ready bool = true
-  for ch in chRecvs {
-    var resp Response
-    var recved bool = true
-    recv(ch, resp)
-    if !recved || (recved && resp != Ready) {
-      all_ready = false
-    }
-  }
-  determined = true
-  if all_ready {
-    for ch in chSends {
-      send(ch, Commit)
-    }
-  } else {
-    for ch in chSends {
-      send(ch, Abort)
-    }
-  }
-}
-proc Worker(chRecv channel { Response }, chSend channel { Response }) {
-  var resp Response
-  recv(chRecv, resp)
-  choice { send(chSend, NotReady) }, { send(chSend, Ready) }
-  recv(chRecv, resp)
-}
-init {
-  chW1S : channel { Response }%(chan)s,
-  chW1R : channel { Response }%(chan)s,
-  chW2S : channel { Response }%(chan)s,
-  chW2R : channel { Response }%(chan)s,
-  chW3S : channel { Response }%(chan)s,
-  chW3R : channel { Response }%(chan)s,
-  arbiter : Arbiter([chW1S, chW2S, chW3S], [chW1R, chW2R, chW3R]),
-  worker1 : Worker(chW1R, chW1S),
-  worker2 : Worker(chW2R, chW2S),
-  worker3 : Worker(chW3R, chW3S),
-}
-ltl {
-  F (G (arbiter.determined &&
-     ((!arbiter.all_ready) ->
-        (!(worker1.resp == Commit) && !(worker3.resp == Commit)))))
-}
-"""
-
-
 def test_three_worker_generalization():
     """The verdict pattern is not an artifact of the two-worker corpus."""
-    nofault = build_model(THREE_WORKER_TEMPLATE % {"chan": ""})
+    nofault = build_model(two_phase_commit(3))
     verdict = check_spec(nofault.woven, nofault.system.ltl_specs[0])
     assert verdict.result is Result.PASS
 
-    dropped = build_model(THREE_WORKER_TEMPLATE % {"chan": " @drop"})
+    dropped = build_model(two_phase_commit(3, drop=True))
     verdict = check_spec(dropped.woven, dropped.system.ltl_specs[0])
     assert verdict.result is Result.FAIL
     replay(dropped.woven, verdict.counterexample)

@@ -40,6 +40,17 @@ def test_check_exit_code_contract(paths, name, expected, capsys):
         assert "LOOP back to step #" in out  # a lasso trace was printed
 
 
+def test_check_system_without_processes(tmp_path, capsys):
+    path = tmp_path / "empty.sandal"
+    formulas = ("G (false)", "F (false)", "F (G (false))", "G (F (false))")
+    specs = "".join(f"ltl {{ {f} }}\n" for f in formulas)
+    path.write_text("init { c: channel { bool } }\n" + specs)
+    assert run(["check", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    verdicts = [line for line in lines if line in ("PASS", "FAIL")]
+    assert verdicts == ["FAIL", "PASS", "PASS", "PASS"]
+
+
 def test_check_prints_pass_line(paths, capsys):
     assert run(["check", paths["2pc_nofault"]]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from sandalc.checker import check_spec, format_trace
+from sandalc.cli import run
 from sandalc.corpus import MODEL_NAMES, corpus_source
 from sandalc.pipeline import build_model
 from sandalc.smv import emit_smv
@@ -111,6 +112,19 @@ def test_non_ascii_names_become_distinct_ascii_identifiers():
     built = build_model(source)
     verdict = check_spec(built.woven, built.system.ltl_specs[0])
     assert "wö.rü = Nö" in format_trace(built.woven, verdict.counterexample)
+
+
+def test_a_thousand_colliding_names_stay_distinct(tmp_path):
+    """1,005 channel names that all sanitize to `c_` get suffixes up to 1005."""
+    import re
+
+    names = [f"c{chr(0x4E00 + i)}" for i in range(1005)]
+    path = tmp_path / "wide.sandal"
+    path.write_text("init { " + ", ".join(f"{n}: channel {{ bool }}" for n in names) + " }\n")
+    out = tmp_path / "wide.smv"
+    assert run(["compile", str(path), "-o", str(out)]) == 0
+    ids = re.findall(r"^MODULE chan_(\w+)$", out.read_text(), re.M)
+    assert len(ids) == len(set(ids)) == 1005
 
 
 def test_reserved_instance_names_are_sanitized():
