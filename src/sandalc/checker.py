@@ -41,6 +41,7 @@ from graphlib import CycleError, TopologicalSorter
 from . import ir
 from .ir import CompiledSystem, Transition
 from .sema import PAtom, PBin, PBool, PEnum, PNot, Prop, PTemporal, ResolvedSpec, Value
+from .sema import render_value
 
 DEFAULT_MAX_STATES = 10_000_000
 
@@ -403,32 +404,26 @@ def replay(cs: CompiledSystem, cex: Counterexample) -> None:
             raise ReplayError("loop does not close back on its head state")
 
 
-def _render_value(v: Value) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return v
-
-
 def _state_fields(cs: CompiledSystem, state: GlobalState) -> dict[str, str]:
     fields: dict[str, str] = {}
     for proc, ps, automaton in zip(cs.instance.processes, state.procs, cs.automata):
         loc = "shutdown" if ps.loc == automaton.shutdown_loc else str(ps.loc)
         fields[f"{proc.name}.@loc"] = loc
         for slot, value in zip(automaton.locals, ps.vars):
-            fields[f"{proc.name}.{slot.name}"] = _render_value(value)
+            fields[f"{proc.name}.{slot.name}"] = render_value(value)
     for chan, chan_state in zip(cs.instance.channels, state.chans):
         if isinstance(chan_state, RvState):
-            fields[f"{chan.name}.ready"] = _render_value(chan_state.ready)
-            fields[f"{chan.name}.received"] = _render_value(chan_state.received)
+            fields[f"{chan.name}.ready"] = render_value(chan_state.ready)
+            fields[f"{chan.name}.received"] = render_value(chan_state.received)
             buf = (
                 "-"
                 if chan_state.buf is None
-                else "(" + ", ".join(_render_value(v) for v in chan_state.buf) + ")"
+                else "(" + ", ".join(render_value(v) for v in chan_state.buf) + ")"
             )
             fields[f"{chan.name}.buffer"] = buf
         else:
             items = ", ".join(
-                "(" + ", ".join(_render_value(v) for v in item) + ")"
+                "(" + ", ".join(render_value(v) for v in item) + ")"
                 for item in chan_state.queue
             )
             fields[f"{chan.name}.queue"] = f"[{items}]"

@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Exit codes: 0 success / all properties hold; 1 a property fails (the
-counterexample is printed); 2 usage, lexical, parse or type error; 3 a
-resource limit was hit; 4 internal error (a one-line message on stderr);
+counterexample is printed); 2 usage, lexical, parse or type error, or an
+unwritable output file; 3 a resource limit was hit (the state bound, or
+memory during the search); 4 internal error (a one-line message on stderr);
 141 stdout was closed early, e.g. by `| head` (nothing is printed).
 """
 
@@ -117,6 +118,12 @@ def _cmd_check(args) -> int:
         except StateLimitExceeded as exc:
             print(f"{args.input}: {exc}", file=sys.stderr)
             return EXIT_LIMIT
+        except MemoryError:
+            verdict = None  # leaving the handler frees the search's frames
+        if verdict is None:
+            print(f"{args.input}: out of memory during the search; lower --max-states",
+                  file=sys.stderr)
+            return EXIT_LIMIT
         print(verdict.result.value)
         if verdict.counterexample is not None:
             print(format_trace(built.woven, verdict.counterexample), end="")
@@ -126,9 +133,13 @@ def _cmd_check(args) -> int:
 
 def _cmd_compile(args) -> int:
     built = _load(args.input)
-    doc = emit_smv(built.system, built.woven.automata)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(doc.render())
+    text = emit_smv(built.system, built.woven.automata).render()
+    try:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"{args.output}: {exc.strerror}", file=sys.stderr)
+        return EXIT_ERROR
     return EXIT_OK
 
 

@@ -10,7 +10,8 @@ one-slot value buffer): a send occupies two transitions through an
 intermediate location, a receive is a single transition, and the sender's
 final step resets the flags so the channel can be reused.  Guards and values
 are built from sema's literal, not and binary nodes plus EVar and six channel
-reads, so the checker evaluates them and ltl propositions alike.
+reads, so the checker evaluates them and ltl propositions alike, and dump-ir
+prints them with sema.render and a table of its nine leaf spellings.
 
 Each edge is stated once: its fault tag follows from its kind
 (`timeout.fail`, `drop` and `shutdown` are the fault kinds), and the weaver
@@ -31,7 +32,7 @@ from . import sema
 from . import syntax as ast
 from .errors import NO_POS, Pos
 from .pretty import print_expr
-from .sema import PBin, PBool, PEnum, PNot, SlotInfo, SystemInstance, Value
+from .sema import PBin, PBool, PEnum, PNot, SlotInfo, SystemInstance, Value, render, render_value
 
 NORMAL = "normal"
 TIMEOUT = "timeout"
@@ -473,66 +474,55 @@ def lower_system(system: SystemInstance) -> CompiledSystem:
 
 
 # ---------------------------------------------------------------------------
-# Textual dump
+# Textual dump: sema.render with Sandal's operators and these leaf spellings
+
+_SANDAL_OPS = {op: op for op in ("&&", "||", "->", "==", "!=")}
 
 
-def render_expr(e: IrExpr, chan_names, local_names) -> str:
-    if isinstance(e, PBool):
-        return "true" if e.value else "false"
-    if isinstance(e, PEnum):
-        return e.ctor
-    if isinstance(e, EVar):
-        return local_names[e.slot]
-    if isinstance(e, PNot):
-        return f"!{render_expr(e.sub, chan_names, local_names)}"
-    if isinstance(e, PBin):
-        left = render_expr(e.left, chan_names, local_names)
-        right = render_expr(e.right, chan_names, local_names)
-        return f"({left} {e.op} {right})"
-    if isinstance(e, EChanReady):
-        return f"ready({chan_names[e.chan]})"
-    if isinstance(e, EChanReceived):
-        return f"received({chan_names[e.chan]})"
-    if isinstance(e, EChanBufItem):
-        return f"buf({chan_names[e.chan]})[{e.index}]"
-    if isinstance(e, EChanNotFull):
-        return f"!full({chan_names[e.chan]})"
-    if isinstance(e, EChanNotEmpty):
-        return f"!empty({chan_names[e.chan]})"
-    assert isinstance(e, EChanHeadItem)
-    return f"head({chan_names[e.chan]})[{e.index}]"
-
-
-def render_action(a: Action, chan_names, local_names) -> str:
+def _render_action(a: Action, expr, chans, names) -> str:
     if isinstance(a, ASetVar):
-        return f"{local_names[a.slot]} := {render_expr(a.value, chan_names, local_names)}"
+        return f"{names[a.slot]} := {expr(a.value)}"
     if isinstance(a, ABeginSend):
-        vals = ", ".join(render_expr(v, chan_names, local_names) for v in a.payload)
-        name = chan_names[a.chan]
+        vals = ", ".join(expr(v) for v in a.payload)
+        name = chans[a.chan]
         return f"ready({name}) := true, buf({name}) := ({vals})"
     if isinstance(a, AFinishSend):
-        name = chan_names[a.chan]
+        name = chans[a.chan]
         return f"ready({name}) := false, received({name}) := false"
     if isinstance(a, AMarkReceived):
-        return f"received({chan_names[a.chan]}) := true"
+        return f"received({chans[a.chan]}) := true"
     if isinstance(a, APush):
-        vals = ", ".join(render_expr(v, chan_names, local_names) for v in a.payload)
-        return f"push({chan_names[a.chan]}, ({vals}))"
+        vals = ", ".join(expr(v) for v in a.payload)
+        return f"push({chans[a.chan]}, ({vals}))"
     assert isinstance(a, APop)
-    return f"pop({chan_names[a.chan]})"
+    return f"pop({chans[a.chan]})"
 
 
 def dump_automaton(automaton: ProcessAutomaton, system: SystemInstance) -> str:
     """One line per transition, ordered by source location then declaration."""
-    chan_names = [c.name for c in system.channels]
-    local_names = [s.name for s in automaton.locals]
+    chans = [c.name for c in system.channels]
+    names = [s.name for s in automaton.locals]
+    spell = {
+        PBool: lambda e: render_value(e.value),
+        PEnum: lambda e: e.ctor,
+        EVar: lambda e: names[e.slot],
+        EChanReady: lambda e: f"ready({chans[e.chan]})",
+        EChanReceived: lambda e: f"received({chans[e.chan]})",
+        EChanBufItem: lambda e: f"buf({chans[e.chan]})[{e.index}]",
+        EChanNotFull: lambda e: f"!full({chans[e.chan]})",
+        EChanNotEmpty: lambda e: f"!empty({chans[e.chan]})",
+        EChanHeadItem: lambda e: f"head({chans[e.chan]})[{e.index}]",
+    }
+
+    def expr(e: IrExpr) -> str:
+        return render(e, spell, _SANDAL_OPS, "!{}")
+
     lines = [f"process {automaton.name}: {automaton.n_locations} locations, "
              f"entry {automaton.entry}, terminal {automaton.terminal}"]
     ordered = sorted(
         enumerate(automaton.transitions), key=lambda item: (item[1].src, item[0])
     )
     for _, t in ordered:
-        guard = render_expr(t.guard, chan_names, local_names)
-        actions = ", ".join(render_action(a, chan_names, local_names) for a in t.actions)
-        lines.append(f"{t.src} -> {t.dst} [{guard}] / {actions} ({t.label})")
+        actions = ", ".join(_render_action(a, expr, chans, names) for a in t.actions)
+        lines.append(f"{t.src} -> {t.dst} [{expr(t.guard)}] / {actions} ({t.label})")
     return "\n".join(lines) + "\n"

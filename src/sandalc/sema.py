@@ -10,6 +10,7 @@ pairs.  instantiate only packages these results into a SystemInstance.
 PBool, PEnum, PNot and PBin are the compiler's one set of literal, not and
 binary nodes: ltl formulas add PAtom and PTemporal to them, and the guards and
 values of the lowered automata (ir.py) add a local read and channel reads.
+`render` prints all of them, given each backend's table of leaf spellings.
 """
 
 from __future__ import annotations
@@ -186,6 +187,26 @@ class PBin(Prop):
 class PTemporal(Prop):
     op: str  # G | F
     sub: Prop
+
+
+def render(e, spell: dict, ops: dict[str, str], neg: str) -> str:
+    """Print an expression: `(left op right)` with `ops[op]`, `!` as
+    `neg.format(sub)`, G and F as `op (sub)`, and any other node (a leaf) as
+    `spell[type(e)](e)`.  dump-ir and both SMV spellings differ only there."""
+    t = type(e)
+    if t is PBin:
+        left, right = render(e.left, spell, ops, neg), render(e.right, spell, ops, neg)
+        return f"({left} {ops[e.op]} {right})"
+    if t is PNot:
+        return neg.format(render(e.sub, spell, ops, neg))
+    if t is PTemporal:
+        return f"{e.op} ({render(e.sub, spell, ops, neg)})"
+    return spell[t](e)
+
+
+def render_value(v: Value) -> str:
+    """Sandal's spelling of a value: true, false or a constructor name."""
+    return ("true" if v else "false") if isinstance(v, bool) else v
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ stutter rule.  The JUSTICE lines are always emitted, and they cannot change a
 verdict: the automata are acyclic, so every infinite path ends in that
 stutter, where no process is enabled, and each constraint holds on it.
 
-Faults are already present in the woven automata, so the output needs no
-separate fault handling.  Emission is byte-deterministic for a given system.
+Guards, values and ltl formulas print through sema.render and the emitter's
+leaf tables.  Faults are already present in the woven automata, so the output
+needs no separate fault handling.  Emission is byte-deterministic.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import re
 from dataclasses import dataclass
 
 from . import ir
-from .sema import BoolType, EnumType, PAtom, PBin, PBool, PEnum, PNot, Prop, PTemporal
-from .sema import SystemInstance, Value, zero_value
+from .sema import BoolType, EnumType, PAtom, PBool, PEnum, Prop, SystemInstance, Value
+from .sema import render, zero_value
 
 
 # Binary operators of guards and ltl formulas, in SMV syntax.
@@ -122,6 +123,26 @@ class _Emitter:
             pid: self.ctor_names.fresh(f"m_{pid}") for pid in self.proc_ids
         }
         self.mover_none = self.ctor_names.fresh("m_none")
+        # Leaf spellings for sema.render: one guard table per process, whose
+        # locals read as `pid.var`, and one ltl table.  No leaf refers to
+        # self: that cycle would keep each emitter alive until a collection.
+        ctor, chans = self.ctor_names.name, self.chan_ids
+        pids, var_ids = self.proc_ids, self.var_ids
+        literals = {PBool: lambda e: "TRUE" if e.value else "FALSE", PEnum: lambda e: ctor(e.ctor)}
+        reads = {
+            **literals,
+            ir.EChanReady: lambda e: f"{chans[e.chan]}.ready",
+            ir.EChanReceived: lambda e: f"{chans[e.chan]}.received",
+            ir.EChanBufItem: lambda e: f"{chans[e.chan]}.v{e.index}",
+            ir.EChanNotFull: lambda e: f"{chans[e.chan]}.len < {e.capacity}",
+            ir.EChanNotEmpty: lambda e: f"{chans[e.chan]}.len > 0",
+            ir.EChanHeadItem: lambda e: f"{chans[e.chan]}.q0_{e.index}",
+        }
+        self.guard_spell = [
+            {**reads, ir.EVar: lambda e, pid=pid, var=var: f"{pid}.{var[e.slot]}"}
+            for pid, var in zip(pids, var_ids)
+        ]
+        self.ltl_spell = {**literals, PAtom: lambda e: f"{pids[e.proc]}.{var_ids[e.proc][e.slot]}"}
 
     # -- small renderers
 
@@ -143,46 +164,12 @@ class _Emitter:
         return f"l{loc}"
 
     def expr(self, e: ir.IrExpr, proc: int) -> str:
-        """Render a guard or value against main-scope names: a local of `proc`
-        is `pid.var`, and `!` binds without parentheses."""
-        if isinstance(e, PBool):
-            return self.literal(e.value)
-        if isinstance(e, PEnum):
-            return self.literal(e.ctor)
-        if isinstance(e, ir.EVar):
-            return f"{self.proc_ids[proc]}.{self.var_ids[proc][e.slot]}"
-        if isinstance(e, PNot):
-            return f"!{self.expr(e.sub, proc)}"
-        if isinstance(e, PBin):
-            op = _BINARY_OPS[e.op]
-            return f"({self.expr(e.left, proc)} {op} {self.expr(e.right, proc)})"
-        if isinstance(e, ir.EChanReady):
-            return f"{self.chan_ids[e.chan]}.ready"
-        if isinstance(e, ir.EChanReceived):
-            return f"{self.chan_ids[e.chan]}.received"
-        if isinstance(e, ir.EChanBufItem):
-            return f"{self.chan_ids[e.chan]}.v{e.index}"
-        if isinstance(e, ir.EChanNotFull):
-            return f"{self.chan_ids[e.chan]}.len < {e.capacity}"
-        if isinstance(e, ir.EChanNotEmpty):
-            return f"{self.chan_ids[e.chan]}.len > 0"
-        assert isinstance(e, ir.EChanHeadItem)
-        return f"{self.chan_ids[e.chan]}.q0_{e.index}"
+        """A guard or value: a local of `proc` is `pid.var`, `!` binds bare."""
+        return render(e, self.guard_spell[proc], _BINARY_OPS, "!{}")
 
     def prop(self, p: Prop) -> str:
-        """Render an ltl formula: atoms name any process, `!` parenthesizes."""
-        if isinstance(p, PBool):
-            return self.literal(p.value)
-        if isinstance(p, PEnum):
-            return self.literal(p.ctor)
-        if isinstance(p, PAtom):
-            return f"{self.proc_ids[p.proc]}.{self.var_ids[p.proc][p.slot]}"
-        if isinstance(p, PNot):
-            return f"!({self.prop(p.sub)})"
-        if isinstance(p, PTemporal):
-            return f"{p.op} ({self.prop(p.sub)})"
-        assert isinstance(p, PBin)
-        return f"({self.prop(p.left)} {_BINARY_OPS[p.op]} {self.prop(p.right)})"
+        """An ltl formula: atoms name any process, `!` parenthesizes."""
+        return render(p, self.ltl_spell, _BINARY_OPS, "!({})")
 
     # -- channel modules
 

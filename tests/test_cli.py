@@ -10,6 +10,9 @@ import sandalc
 from sandalc.cli import run
 from sandalc.corpus import corpus
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from models import family_member, with_spec  # noqa: E402
+
 
 @pytest.fixture(scope="module")
 def paths():
@@ -65,6 +68,16 @@ def test_compile_writes_smv_file(paths, tmp_path, capsys):
     assert "MODULE main" in text
 
 
+@pytest.mark.parametrize("target, reason", [
+    ("no/such/dir/out.smv", "No such file or directory"),
+    (".", "Is a directory"),
+], ids=["missing-directory", "directory"])
+def test_compile_to_an_unwritable_path_is_a_usage_error(paths, tmp_path, target, reason, capsys):
+    out_file = tmp_path / target
+    assert run(["compile", paths["pingpong"], "-o", str(out_file)]) == 2
+    assert capsys.readouterr().err == f"{out_file}: {reason}\n"
+
+
 def test_dump_ir_lists_transitions(paths, capsys):
     assert run(["dump-ir", paths["pingpong"]]) == 0
     out = capsys.readouterr().out
@@ -102,6 +115,31 @@ def test_type_error_diagnostic_format(tmp_path, capsys):
 
 def test_missing_file_is_usage_error(capsys):
     assert run(["check", "/nonexistent/model.sandal"]) == 2
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_out_of_memory_in_the_search_is_a_limit(tmp_path):
+    """The child caps its address space at its own size plus 32 MB, far below
+    the 131,801 states of N=3 with all faults."""
+    model = tmp_path / "n3.sandal"
+    model.write_text(with_spec(family_member(3, "allfaults"), "G (true)"))
+    child = (
+        "import resource, sys\n"
+        "from sandalc import cli\n"
+        "with open('/proc/self/status') as f:\n"
+        "    size = next(int(l.split()[1]) for l in f if l.startswith('VmSize:')) * 1024\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (size + (32 << 20),) * 2)\n"
+        "sys.exit(cli.run(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(sandalc.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "check", "--property", "2", str(model)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"{model}: out of memory during the search; lower --max-states\n"
+    assert proc.stdout == "property 2: G (true)\n"
 
 
 def test_state_limit_exit_code(paths, capsys):

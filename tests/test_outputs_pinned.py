@@ -20,7 +20,7 @@ import pytest
 
 from sandalc.checker import check_spec, format_trace
 from sandalc.corpus import MODEL_NAMES, corpus_source
-from sandalc.ir import dump_automaton
+from sandalc.ir import ASetVar, dump_automaton
 from sandalc.pipeline import build_model
 from sandalc.smv import emit_smv
 
@@ -84,6 +84,20 @@ def test_outputs_match_pinned_digests(name):
     actual = outputs(SOURCES[name])
     changed = sorted(p for p in pinned.keys() | actual.keys() if pinned.get(p) != actual.get(p))
     assert not changed, f"{name}: changed output in {', '.join(changed)}"
+
+
+def test_no_woven_edge_has_two_actions_on_one_channel():
+    """`checker._apply` replaces a whole channel record per action, while the
+    emitted TRANS sets one field per `next()`; the two take the same step as
+    long as no edge acts twice on one channel."""
+    edges = 0
+    for name, source in SOURCES.items():
+        for automaton in build_model(source).woven.automata:
+            for t in automaton.transitions:
+                chans = [a.chan for a in t.actions if not isinstance(a, ASetVar)]
+                assert len(chans) == len(set(chans)), f"{name}: {automaton.name}: {t.label}"
+            edges += len(automaton.transitions)
+    assert edges > len(SOURCES)
 
 
 if __name__ == "__main__":
