@@ -208,7 +208,7 @@ def successors(cs: CompiledSystem, state: GlobalState) -> list[Succ]:
     out: list[Succ] = [
         (i, t.label, nxt) for i, t, nxt in successor_transitions(cs, state)
     ]
-    if not out and cs.automata:  # a system with no processes has no runs at all
+    if not out:
         out.append((None, STUTTER_LABEL, state))
     return out
 
@@ -335,27 +335,35 @@ def _search(
 
     `target(state, succs)` is tested when a state is expanded, with its
     successors.  The path found is the counterexample; with `lasso`, one
-    stutter step at the target state closes it into a loop.
+    stutter step at the target state closes it into a loop.  A MemoryError
+    leaves with the number of states found in its `states` attribute.
     """
     _require_acyclic(cs)
     init = initial_state(cs)
     parents: dict[GlobalState, tuple[GlobalState, Succ] | None] = {init: None}
     frontier = deque([init] if inside(init) else ())
-    while frontier:
-        state = frontier.popleft()
-        succs = successors(cs, state)
-        if target(state, succs):
-            loop = (Step(None, STUTTER_NAME, STUTTER_LABEL, state),) if lasso else None
-            cex = Counterexample(init, _path_to(cs, parents, state), loop)
-            return Verdict(Result.FAIL, cex, len(parents))
-        for succ in succs:
-            nxt = succ[2]
-            if nxt in parents or not inside(nxt):
-                continue
-            parents[nxt] = (state, succ)
-            if len(parents) > max_states:
-                raise StateLimitExceeded(max_states)
-            frontier.append(nxt)
+    try:
+        while frontier:
+            state = frontier.popleft()
+            succs = successors(cs, state)
+            if target(state, succs):
+                loop = (Step(None, STUTTER_NAME, STUTTER_LABEL, state),) if lasso else None
+                cex = Counterexample(init, _path_to(cs, parents, state), loop)
+                return Verdict(Result.FAIL, cex, len(parents))
+            for succ in succs:
+                nxt = succ[2]
+                if nxt in parents or not inside(nxt):
+                    continue
+                parents[nxt] = (state, succ)
+                if len(parents) > max_states:
+                    raise StateLimitExceeded(max_states)
+                frontier.append(nxt)
+    except MemoryError as exc:
+        count = len(parents)
+        parents.clear()  # room to attach the count for the caller's diagnostic
+        frontier.clear()
+        exc.states = count
+        raise
     return Verdict(Result.PASS, None, len(parents))
 
 
@@ -367,7 +375,7 @@ def check_spec(
     G(p): a shortest path to a !p state.  F(p): a shortest lasso stuttering
     forever in a deadlocked state reached through !p states only.  FG(p),
     GF(p): one stuttering in any reachable deadlocked !p state.  A system
-    with no processes has no successors at all, so it has no deadlock.
+    with no processes is deadlocked in its initial state and stutters there.
     """
     pattern, prop = extract_pattern(spec.formula)
     notp = lambda s: not eval_prop(prop, s)

@@ -118,10 +118,12 @@ def _cmd_check(args) -> int:
         except StateLimitExceeded as exc:
             print(f"{args.input}: {exc}", file=sys.stderr)
             return EXIT_LIMIT
-        except MemoryError:
-            verdict = None  # leaving the handler frees the search's frames
+        except MemoryError as exc:
+            # Leaving the handler frees the search's frames.
+            verdict, states = None, getattr(exc, "states", None)
         if verdict is None:
-            print(f"{args.input}: out of memory during the search; lower --max-states",
+            found = "" if states is None else f" after {states} states"
+            print(f"{args.input}: out of memory{found} during the search; lower --max-states",
                   file=sys.stderr)
             return EXIT_LIMIT
         print(verdict.result.value)

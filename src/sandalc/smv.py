@@ -1,15 +1,18 @@
 """Emission of the woven system as a self-contained SMV module text.
 
 One module per channel and per process instance holds that component's state
-variables; main instantiates everything and owns the whole transition
-relation as a single TRANS disjunction.  A bookkeeping variable `mover`
-records which process stepped, which both realizes the interleaving scheduler
-(its next value is the nondeterministic selection) and supports the per
-process JUSTICE constraints.  A deadlocked state takes the mover = m_none
-disjunct, which freezes every variable, mirroring the built-in checker's
-stutter rule.  The JUSTICE lines are always emitted, and they cannot change a
-verdict: the automata are acyclic, so every infinite path ends in that
-stutter, where no process is enabled, and each constraint holds on it.
+variables; main instantiates everything and owns the transition relation.  A
+bookkeeping variable `step` names the woven transition taken last, one
+symbol per transition plus `t_none`; its next value is the interleaving
+scheduler's nondeterministic choice.  The first TRANS is a disjunction with
+one disjunct per transition, listing only its enabledness and the fields it
+writes, plus the `t_none` stutter disjunct of a deadlocked state.  Then one
+TRANS per state field keeps its value unless `next(step)` is one of the
+transitions that write it, so the text is linear in transitions plus writes.
+The per-process JUSTICE constraints read `step`.  They are always emitted,
+and they cannot change a verdict: the automata are acyclic, so every
+infinite path ends in the stutter, where no process is enabled, and each
+constraint holds on it.
 
 Guards, values and ltl formulas print through sema.render and the emitter's
 leaf tables.  Faults are already present in the woven automata, so the output
@@ -109,20 +112,19 @@ class _Emitter:
         # scheduler symbols share the symbolic-constant namespace with the
         # enum constructors.
         aux = self.instance_names
-        self.mover_var = aux.fresh("mover")
+        self.step_var = aux.fresh("step")
         self.any_enabled = aux.fresh("any_enabled")
-        self.frame_ids = {cid: aux.fresh(f"frame_{cid}") for cid in self.chan_ids}
-        self.frame_ids.update({pid: aux.fresh(f"frame_{pid}") for pid in self.proc_ids})
         self.enabled_ids = {pid: aux.fresh(f"enabled_{pid}") for pid in self.proc_ids}
         self.en_ids = {
             (proc, k): aux.fresh(f"en_{self.proc_ids[proc]}_{k}")
             for proc, automaton in enumerate(automata)
             for k in range(len(automaton.transitions))
         }
-        self.mover_syms = {
-            pid: self.ctor_names.fresh(f"m_{pid}") for pid in self.proc_ids
+        self.step_syms = {
+            key: self.ctor_names.fresh(f"t_{self.proc_ids[key[0]]}_{key[1]}")
+            for key in self.en_ids
         }
-        self.mover_none = self.ctor_names.fresh("m_none")
+        self.step_none = self.ctor_names.fresh("t_none")
         # Leaf spellings for sema.render: one guard table per process, whose
         # locals read as `pid.var`, and one ltl table.  No leaf refers to
         # self: that cycle would keep each emitter alive until a collection.
@@ -134,8 +136,8 @@ class _Emitter:
             ir.EChanReady: lambda e: f"{chans[e.chan]}.ready",
             ir.EChanReceived: lambda e: f"{chans[e.chan]}.received",
             ir.EChanBufItem: lambda e: f"{chans[e.chan]}.v{e.index}",
-            ir.EChanNotFull: lambda e: f"{chans[e.chan]}.len < {e.capacity}",
-            ir.EChanNotEmpty: lambda e: f"{chans[e.chan]}.len > 0",
+            ir.EChanNotFull: lambda e: f"({chans[e.chan]}.len < {e.capacity})",
+            ir.EChanNotEmpty: lambda e: f"({chans[e.chan]}.len > 0)",
             ir.EChanHeadItem: lambda e: f"{chans[e.chan]}.q0_{e.index}",
         }
         self.guard_spell = [
@@ -212,92 +214,74 @@ class _Emitter:
 
     # -- transition effects
 
-    def _chan_fields(self, chan: int) -> list[str]:
-        decl = self.system.channels[chan]
-        cid = self.chan_ids[chan]
-        if decl.type.is_buffered:
-            fields = [f"{cid}.len"]
-            for i in range(decl.type.capacity):
-                for j in range(len(decl.type.payload)):
-                    fields.append(f"{cid}.q{i}_{j}")
-            return fields
-        return [f"{cid}.ready", f"{cid}.received"] + [
-            f"{cid}.v{j}" for j in range(len(decl.type.payload))
-        ]
+    def _fields(self) -> list[str]:
+        """Every state field of main, in declaration order."""
+        fields = []
+        for chan, decl in enumerate(self.system.channels):
+            cid = self.chan_ids[chan]
+            if decl.type.is_buffered:
+                fields.append(f"{cid}.len")
+                for i in range(decl.type.capacity):
+                    fields += [f"{cid}.q{i}_{j}" for j in range(len(decl.type.payload))]
+            else:
+                fields += [f"{cid}.ready", f"{cid}.received"]
+                fields += [f"{cid}.v{j}" for j in range(len(decl.type.payload))]
+        for proc, pid in enumerate(self.proc_ids):
+            fields.append(f"{pid}.loc")
+            fields += [f"{pid}.{var}" for var in self.var_ids[proc].values()]
+        return fields
 
-    def _proc_fields(self, proc: int) -> list[str]:
-        pid = self.proc_ids[proc]
-        return [f"{pid}.loc"] + [
-            f"{pid}.{self.var_ids[proc][slot]}" for slot in range(len(self.automata[proc].locals))
-        ]
-
-    def _effects(self, proc: int, t: ir.Transition) -> tuple[dict[str, str], set[int]]:
-        """Next-state value per written field, plus the set of touched channels."""
+    def _effects(self, proc: int, t: ir.Transition) -> dict[str, str]:
+        """Next-state value per field the transition writes."""
         writes: dict[str, str] = {f"{self.proc_ids[proc]}.loc": self.loc_symbol(proc, t.dst)}
-        touched: set[int] = set()
         for action in t.actions:
             if isinstance(action, ir.ASetVar):
                 field = f"{self.proc_ids[proc]}.{self.var_ids[proc][action.slot]}"
                 writes[field] = self.expr(action.value, proc)
-            elif isinstance(action, ir.ABeginSend):
-                cid = self.chan_ids[action.chan]
-                touched.add(action.chan)
+                continue
+            decl = self.system.channels[action.chan]
+            cid = self.chan_ids[action.chan]
+            if isinstance(action, ir.ABeginSend):
                 writes[f"{cid}.ready"] = "TRUE"
                 for j, value in enumerate(action.payload):
                     writes[f"{cid}.v{j}"] = self.expr(value, proc)
             elif isinstance(action, ir.AFinishSend):
-                decl = self.system.channels[action.chan]
-                cid = self.chan_ids[action.chan]
-                touched.add(action.chan)
                 writes[f"{cid}.ready"] = "FALSE"
                 writes[f"{cid}.received"] = "FALSE"
                 for j, ty in enumerate(decl.type.payload):
                     writes[f"{cid}.v{j}"] = self.literal(zero_value(ty))
             elif isinstance(action, ir.AMarkReceived):
-                touched.add(action.chan)
-                writes[f"{self.chan_ids[action.chan]}.received"] = "TRUE"
+                writes[f"{cid}.received"] = "TRUE"
             elif isinstance(action, ir.APush):
-                decl = self.system.channels[action.chan]
-                cid = self.chan_ids[action.chan]
-                cap = decl.type.capacity
-                touched.add(action.chan)
                 writes[f"{cid}.len"] = f"{cid}.len + 1"
-                for i in range(cap):
-                    for j, value in enumerate(action.payload):
+                pushed = [self.expr(value, proc) for value in action.payload]
+                for i in range(decl.type.capacity):
+                    for j, value in enumerate(pushed):
                         slot = f"{cid}.q{i}_{j}"
-                        pushed = self.expr(value, proc)
-                        writes[slot] = (
-                            f"case {cid}.len = {i} : {pushed}; TRUE : {slot}; esac"
-                        )
+                        writes[slot] = f"case {cid}.len = {i} : {value}; TRUE : {slot}; esac"
             else:
                 assert isinstance(action, ir.APop)
-                decl = self.system.channels[action.chan]
-                cid = self.chan_ids[action.chan]
                 cap = decl.type.capacity
-                touched.add(action.chan)
                 writes[f"{cid}.len"] = f"{cid}.len - 1"
                 for i in range(cap):
                     for j, ty in enumerate(decl.type.payload):
-                        slot = f"{cid}.q{i}_{j}"
-                        if i + 1 < cap:
-                            writes[slot] = f"{cid}.q{i + 1}_{j}"
-                        else:
-                            writes[slot] = self.literal(zero_value(ty))
-        return writes, touched
+                        writes[f"{cid}.q{i}_{j}"] = (
+                            f"{cid}.q{i + 1}_{j}" if i + 1 < cap else self.literal(zero_value(ty))
+                        )
+        return writes
 
     # -- main module
 
     def main_module(self, specs: tuple[str, ...]) -> str:
+        step = self.step_var
         lines = ["MODULE main", "  VAR"]
-        for chan, cid in enumerate(self.chan_ids):
+        for cid in self.chan_ids:
             lines.append(f"    {cid} : chan_{cid};")
-        for proc, pid in enumerate(self.proc_ids):
+        for pid in self.proc_ids:
             lines.append(f"    {pid} : proc_{pid};")
-        movers = ", ".join(
-            [self.mover_syms[pid] for pid in self.proc_ids] + [self.mover_none]
-        )
-        lines.append(f"    {self.mover_var} : {{{movers}}};")
-        lines.append(f"  INIT {self.mover_var} = {self.mover_none};")
+        symbols = ", ".join([*self.step_syms.values(), self.step_none])
+        lines.append(f"    {step} : {{{symbols}}};")
+        lines.append(f"  INIT {step} = {self.step_none};")
 
         lines.append("  DEFINE")
         for proc, automaton in enumerate(self.automata):
@@ -314,52 +298,29 @@ class _Emitter:
             lines.append(f"    {self.enabled_ids[pid]} := {enables};")
         any_enabled = " | ".join(self.enabled_ids[pid] for pid in self.proc_ids) or "FALSE"
         lines.append(f"    {self.any_enabled} := {any_enabled};")
-        for proc, pid in enumerate(self.proc_ids):
-            keeps = " & ".join(f"next({f}) = {f}" for f in self._proc_fields(proc))
-            lines.append(f"    {self.frame_ids[pid]} := {keeps};")
-        for chan, cid in enumerate(self.chan_ids):
-            keeps = " & ".join(f"next({f}) = {f}" for f in self._chan_fields(chan))
-            lines.append(f"    {self.frame_ids[cid]} := {keeps};")
 
+        writers: dict[str, list[str]] = {field: [] for field in self._fields()}
         disjuncts = []
-        for proc, automaton in enumerate(self.automata):
-            pid = self.proc_ids[proc]
-            steps = []
-            for k, t in enumerate(automaton.transitions):
-                writes, touched = self._effects(proc, t)
-                conj = [self.en_ids[proc, k]]
-                for field in self._proc_fields(proc):
-                    conj.append(f"next({field}) = {writes[field]}"
-                                if field in writes else f"next({field}) = {field}")
-                for chan, cid in enumerate(self.chan_ids):
-                    if chan not in touched:
-                        conj.append(self.frame_ids[cid])
-                        continue
-                    for field in self._chan_fields(chan):
-                        conj.append(f"next({field}) = ({writes[field]})"
-                                    if field in writes else f"next({field}) = {field}")
-                steps.append("(" + " & ".join(conj) + ")")
-            others = [self.frame_ids[q] for j, q in enumerate(self.proc_ids) if j != proc]
-            move = " | ".join(steps) if steps else "FALSE"
-            parts = [
-                f"next({self.mover_var}) = {self.mover_syms[pid]}",
-                f"({move})",
-            ] + others
-            disjuncts.append("      (" + " & ".join(parts) + ")")
-        stutter = (
-            [f"next({self.mover_var}) = {self.mover_none}", f"!{self.any_enabled}"]
-            + [self.frame_ids[pid] for pid in self.proc_ids]
-            + [self.frame_ids[cid] for cid in self.chan_ids]
-        )
-        disjuncts.append("      (" + " & ".join(stutter) + ")")
+        for (proc, k), sym in self.step_syms.items():
+            conj = [f"next({step}) = {sym}", self.en_ids[proc, k]]
+            for field, value in self._effects(proc, self.automata[proc].transitions[k]).items():
+                writers[field].append(sym)
+                conj.append(f"next({field}) = {value}")
+            disjuncts.append("      (" + " & ".join(conj) + ")")
+        disjuncts.append(f"      (next({step}) = {self.step_none} & !{self.any_enabled})")
         lines.append("  TRANS")
         lines.append("\n    |\n".join(disjuncts) + ";")
+        for field, syms in writers.items():
+            keep = f"next({field}) = {field}"
+            if syms:
+                keep = f"next({step}) in {{{', '.join(syms)}}} | {keep}"
+            lines.append(f"  TRANS {keep};")
 
-        for pid in self.proc_ids:
-            lines.append(
-                f"  JUSTICE {self.mover_var} = {self.mover_syms[pid]}"
-                f" | !{self.enabled_ids[pid]};"
+        for proc, pid in enumerate(self.proc_ids):
+            syms = ", ".join(
+                self.step_syms[proc, k] for k in range(len(self.automata[proc].transitions))
             )
+            lines.append(f"  JUSTICE {step} in {{{syms}}} | !{self.enabled_ids[pid]};")
         lines.extend(f"  {spec}" for spec in specs)
         return "\n".join(lines) + "\n"
 

@@ -65,11 +65,12 @@ def test_pingpong_initial_state():
     assert state.chans == (RvState(False, False, None), RvState(False, False, None))
 
 
-def test_empty_system_has_no_successors():
+def test_empty_system_stutters():
+    """With no process to step, the initial state is a deadlock, as in SMV."""
     cs = build_model("init {}").woven
     state = initial_state(cs)
     assert state.procs == () and state.chans == ()
-    assert successors(cs, state) == []
+    assert successors(cs, state) == [(None, checker.STUTTER_LABEL, state)]
 
 
 def test_two_phase_commit_initial_resp_is_first_constructor():
@@ -276,20 +277,14 @@ def test_states_explored_counts_discovered_states(formula):
     assert verdict.states_explored == 6_680
 
 
-@pytest.mark.parametrize(
-    "formula, result",
-    [
-        ("G (false)", Result.FAIL),
-        ("F (false)", Result.PASS),
-        ("F (G (false))", Result.PASS),
-        ("G (F (false))", Result.PASS),
-    ],
-)
-def test_system_without_processes_has_no_deadlock(formula, result):
-    """No process means no step at all, not even a stutter, so no run refutes
-    a liveness spec; G (false) fails in the initial state."""
-    _, verdict = checked("init { c: channel { bool } }", formula)
-    assert verdict.result is result
+@pytest.mark.parametrize("formula", ["G (false)", "F (false)", "F (G (false))", "G (F (false))"])
+@pytest.mark.parametrize("source", ["init {}", "init { c: channel { bool } }"])
+def test_system_without_processes_stutters_in_its_initial_state(source, formula):
+    """No process can step, so the one run stutters forever in the initial
+    state, and every pattern of `false` fails on it, as in the emitted SMV."""
+    _, verdict = checked(source, formula)
+    assert verdict.result is Result.FAIL
+    assert verdict.states_explored == 1
 
 
 def test_cyclic_automaton_is_rejected():

@@ -7,8 +7,11 @@ most MAX_CHECKED_PROCS processes also each spec's verdict, `states_explored`
 and counterexample text.  A refactor that claims byte-identical output must
 leave tests/golden/outputs.json unchanged.
 
-Regenerate the digests (only for an intended change of output) with
+Regenerate the digests and the golden texts other tests compare with
+(tests/golden/<corpus model>.smv, conditions.smv and conditions.dump), only
+for an intended change of output, with
     PYTHONPATH=src python tests/test_outputs_pinned.py
+and review the diff.
 """
 
 import hashlib
@@ -100,7 +103,24 @@ def test_no_woven_edge_has_two_actions_on_one_channel():
     assert edges > len(SOURCES)
 
 
+def golden_texts() -> dict[Path, str]:
+    """Golden file -> its current text."""
+    texts = {}
+    for name in MODEL_NAMES:
+        built = build_model(corpus_source(name))
+        texts[GOLDEN / f"{name}.smv"] = emit_smv(built.system, built.woven.automata).render()
+    built = build_model((GOLDEN / "conditions.sandal").read_text())
+    texts[GOLDEN / "conditions.smv"] = emit_smv(built.system, built.woven.automata).render()
+    texts[GOLDEN / "conditions.dump"] = "".join(
+        dump_automaton(a, built.system) for a in built.woven.automata
+    )
+    return texts
+
+
 if __name__ == "__main__":
     digests = {name: outputs(text) for name, text in sorted(SOURCES.items())}
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} sources to {DIGESTS}")
+    for path, text in golden_texts().items():
+        path.write_text(text)
+        print(f"wrote {path}")

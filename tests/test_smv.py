@@ -1,5 +1,7 @@
+import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,7 +51,35 @@ def test_two_phase_commit_document_structure():
     # skip edges for dropped channels appear as extra transitions in main:
     # each dropped send adds one unconditional location jump
     assert doc.main_module.count("en_arbiter_") >= 27 + 6  # crashes + drops included
-    assert doc.main_module.count("\n  JUSTICE mover = m_") == 3  # one per process
+    # one JUSTICE line per process, over that process's transitions
+    main = doc.main_module
+    justice = re.findall(r"^  JUSTICE step in \{(.*)\} \| !enabled_(\w+);$", main, re.M)
+    assert [pid for _, pid in justice] == ["arbiter", "worker1", "worker2"]
+    # `step` has one symbol per woven transition plus `t_none`
+    built = build_model(corpus_source("2pc_allfaults"))
+    transitions = [len(a.transitions) for a in built.woven.automata]
+    [symbols] = re.findall(r"^    step : \{(.*)\};$", main, re.M)
+    assert symbols.split(", ") == [
+        f"t_{pid}_{k}"
+        for pid, count in zip(("arbiter", "worker1", "worker2"), transitions)
+        for k in range(count)
+    ] + ["t_none"]
+    for (syms, _), count in zip(justice, transitions):
+        assert len(syms.split(", ")) == count
+    assert main.count("\n    |\n") == sum(transitions)  # a disjunct each, and one for t_none
+
+
+def test_size_grows_linearly_with_the_worker_count():
+    """Doubling the workers of all-fault 2PC at most about doubles the text.
+
+    Each TRANS disjunct lists only the fields its transition writes, and one
+    keep rule per field covers the rest, so the size is linear in
+    transitions plus writes."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    from models import family_member
+
+    size = {n: len(emit(family_member(n, "allfaults")).render().encode()) for n in (16, 32)}
+    assert size[32] <= 2.2 * size[16]
 
 
 def test_empty_system_emits_bare_main():
@@ -72,20 +102,25 @@ def test_reserved_word_constructors_are_sanitized():
 
 
 def test_bookkeeping_names_dodge_user_names():
-    """Instances or constructors named like emitter-internal identifiers."""
-    import re
-
+    """Instances and constructors named like emitter-internal identifiers."""
     source = (
-        "data V { m_p, mover }\n"
-        "proc P(c channel { V }) { send(c, m_p) }\n"
-        "init { mover: channel { V }, frame_mover: channel { V },\n"
-        "  p: P(mover), enabled_p: P(frame_mover) }"
+        "data V { t_none, t_p_0 }\n"
+        "proc P(c channel { V }) { send(c, t_p_0) }\n"
+        "init { step: channel { V }, any_enabled: channel { V },\n"
+        "  p: P(step), enabled_p: P(any_enabled) }"
     )
     doc = emit(source)
     main = doc.main_module
-    var_names = re.findall(r"^\s{4}(\w+) :", main, re.M)
-    assert len(var_names) == len(set(var_names))
-    assert "mover_2 : {m_p_2, m_enabled_p, m_none};" in main
+    declared = re.findall(r"^\s{4}(\w+) :=? ", main, re.M)
+    assert len(declared) == len(set(declared))
+    assert {"step", "any_enabled", "p", "enabled_p"} <= set(declared)
+    [(step_var, symbols)] = re.findall(r"^\s{4}(\w+) : \{(.*)\};$", main, re.M)
+    assert step_var not in ("step", "any_enabled", "p", "enabled_p")
+    symbols = symbols.split(", ")
+    assert len(symbols) == len(set(symbols))
+    assert not {"t_none", "t_p_0"} & set(symbols)
+    assert "{t_none, t_p_0}" in doc.channel_modules[0][1]
+    assert f"INIT {step_var} = {symbols[-1]};" in main
 
 
 def test_non_ascii_names_become_distinct_ascii_identifiers():
