@@ -278,7 +278,9 @@ def test_states_explored_counts_discovered_states(formula):
 
 
 @pytest.mark.parametrize("formula", ["G (false)", "F (false)", "F (G (false))", "G (F (false))"])
-@pytest.mark.parametrize("source", ["init {}", "init { c: channel { bool } }"])
+@pytest.mark.parametrize(
+    "source", ["init {}", "init { c: channel { bool } }"], ids=["no_channel", "one_channel"]
+)
 def test_system_without_processes_stutters_in_its_initial_state(source, formula):
     """No process can step, so the one run stutters forever in the initial
     state, and every pattern of `false` fails on it, as in the emitted SMV."""
