@@ -3,7 +3,7 @@
 Exit codes: 0 success / all properties hold; 1 a property fails (the
 counterexample is printed); 2 usage, lexical, parse or type error, or an
 unwritable output file; 3 a resource limit was hit (the state bound, or
-memory during the search); 4 internal error (a one-line message on stderr);
+memory in any command); 4 internal error (a one-line message on stderr);
 141 stdout was closed early, e.g. by `| head` (nothing is printed).
 """
 
@@ -172,9 +172,13 @@ def run(argv: list[str] | None = None) -> int:
         with contextlib.suppress(AttributeError, OSError):
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return _EXIT_CLOSED_PIPE
+    except MemoryError:
+        pass  # leaving the handler frees the frames that filled memory
     except Exception as exc:  # last resort: never show a traceback, never exit 1
         print(f"sandalc: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    print(f"{args.input}: out of memory during {args.command}", file=sys.stderr)
+    return EXIT_LIMIT
 
 
 def main() -> None:

@@ -476,7 +476,7 @@ def lower_system(system: SystemInstance) -> CompiledSystem:
 # ---------------------------------------------------------------------------
 # Textual dump: sema.render with Sandal's operators and these leaf spellings
 
-_SANDAL_OPS = {op: op for op in ("&&", "||", "->", "==", "!=")}
+_SANDAL_OPS = {op: op for ops in ast.BINARY_LEVELS for op in ops}
 
 
 def _render_action(a: Action, expr, chans, names) -> str:

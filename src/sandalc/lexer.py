@@ -13,6 +13,7 @@ Comments run from "//" to end of line and are discarded.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 
 from .errors import LexError, Pos
@@ -68,17 +69,6 @@ class Token:
         return repr(self.text)
 
 
-_DIGITS = "0123456789"  # str.isdigit() also admits digits int() rejects, such as '²'
-
-
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
 # A newline after one of these ends a statement (Go-style semicolon insertion).
 _ASI_KINDS = (TokenKind.IDENT, TokenKind.NUMBER, TokenKind.FAULT_MARKER)
 _ASI_KEYWORDS = frozenset({"true", "false", "bool"})
@@ -95,6 +85,18 @@ def _ends_statement(tok: Token) -> bool:
     return False
 
 
+# One alternative per token class, tried in this order; a group named after a
+# TokenKind makes a token of that kind.  An identifier must start with a letter
+# or "_": ASCII digits make a number first, and tokenize rejects any other digit
+# that \w admits, such as '²', which int() does not take.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|(?P<space>[ \t\r]+|//[^\n]*)"
+    r"|(?P<NUMBER>[0-9]+)|(?P<IDENT>\w+)|(?P<FAULT_MARKER>@\w*)"
+    "|(?P<PUNCT>" + "|".join(map(re.escape, PUNCTUATIONS)) + ")"
+)
+_KINDS = TokenKind.__members__
+
+
 def tokenize(source: str) -> list[Token]:
     """Split source text into tokens, ending with a single EOF token.
 
@@ -102,73 +104,46 @@ def tokenize(source: str) -> list[Token]:
     fault marker.
     """
     tokens: list[Token] = []
-    i = 0
     line = 1
-    col = 1
-    n = len(source)
+    line_start = 0  # offset of the current line's first character
 
-    def maybe_insert_semicolon() -> None:
+    def maybe_insert_semicolon(offset: int) -> None:
         if tokens and not tokens[-1].synthetic and _ends_statement(tokens[-1]):
+            col = offset - line_start + 1
             tokens.append(Token(TokenKind.PUNCT, ";", line, col, synthetic=True))
 
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            maybe_insert_semicolon()
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if _is_ident_start(ch):
-            j = i
-            while j < n and _is_ident_char(source[j]):
-                j += 1
-            text = source[i:j]
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, text, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and source[j] in _DIGITS:
-                j += 1
-            tokens.append(Token(TokenKind.NUMBER, source[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == "@":
-            j = i + 1
-            while j < n and _is_ident_char(source[j]):
-                j += 1
-            name = source[i + 1 : j]
-            if name not in FAULT_MARKERS:
-                raise LexError(
-                    f"unknown fault marker '@{name}' (expected @shutdown or @drop)",
-                    Pos(start_line, start_col),
-                )
-            tokens.append(Token(TokenKind.FAULT_MARKER, "@" + name, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        for punct in PUNCTUATIONS:
-            if source.startswith(punct, i):
-                tokens.append(Token(TokenKind.PUNCT, punct, start_line, start_col))
-                i += len(punct)
-                col += len(punct)
-                break
-        else:
-            raise LexError(f"illegal character {ch!r}", Pos(start_line, start_col))
+    def illegal(offset: int) -> LexError:
+        pos = Pos(line, offset - line_start + 1)
+        return LexError(f"illegal character {source[offset]!r}", pos)
 
-    maybe_insert_semicolon()
-    tokens.append(Token(TokenKind.EOF, "", line, col))
+    end = 0
+    for m in _TOKEN.finditer(source):
+        start = m.start()
+        if start != end:
+            raise illegal(end)
+        end = m.end()
+        group = m.lastgroup
+        if group == "newline":
+            maybe_insert_semicolon(start)
+            line += 1
+            line_start = end
+        elif group != "space":
+            text = m.group()
+            col = start - line_start + 1
+            kind = _KINDS[group]
+            if kind is TokenKind.IDENT:
+                if not (text[0].isalpha() or text[0] == "_"):
+                    raise illegal(start)
+                if text in KEYWORDS:
+                    kind = TokenKind.KEYWORD
+            elif kind is TokenKind.FAULT_MARKER and text[1:] not in FAULT_MARKERS:
+                raise LexError(
+                    f"unknown fault marker '{text}' (expected @shutdown or @drop)",
+                    Pos(line, col),
+                )
+            tokens.append(Token(kind, text, line, col))
+    if end != len(source):
+        raise illegal(end)
+    maybe_insert_semicolon(end)
+    tokens.append(Token(TokenKind.EOF, "", line, end - line_start + 1))
     return tokens

@@ -42,11 +42,17 @@ def _too_deep(expr: ast.Expr) -> bool:
     return False
 
 
+def _starts_operand(tok: Token) -> bool:
+    """Whether `G` or `F` before `tok` is an operator rather than a name."""
+    return tok.kind is TokenKind.IDENT or tok.text in ("(", "!", "true", "false")
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.i = 0
         self.depth = 0  # open nesting levels
+        self.ltl = False  # inside an ltl block, where `G` and `F` are operators
 
     # -- token plumbing ----------------------------------------------------
 
@@ -197,16 +203,18 @@ class _Parser:
     def parse_init_arg(self) -> ast.Expr:
         if self.at("["):
             open_tok = self.advance()
-            elems = self.comma_list(lambda: self.parse_expr(ltl=False), "]")
+            elems = self.comma_list(self.parse_expr, "]")
             self.expect("]", "to close the array literal")
             return ast.ArrayLit(elements=tuple(elems), pos=open_tok.pos)
-        return self.parse_expr(ltl=False)
+        return self.parse_expr()
 
     def parse_ltl(self) -> ast.LtlSpec:
         kw = self.expect("ltl", "to start an ltl block")
         self.expect("{", "to open the ltl block")
         self.skip_newlines()
-        formula = self.parse_expr(ltl=True)
+        self.ltl = True
+        formula = self.parse_expr()
+        self.ltl = False
         self.skip_newlines()
         self.expect("}", "to close the ltl block")
         return ast.LtlSpec(formula=formula, pos=kw.pos)
@@ -314,17 +322,16 @@ class _Parser:
             if not names:
                 raise ParseError(f"{form} needs at least one target variable", tok.pos)
             return ast.Recv(form=form, channel=chan, targets=tuple(names), pos=tok.pos)
-        if self.at_ident() and self.peek_is("="):
+        if self.at_ident() and self.peek().text == "=":
             name = self.advance()
             self.expect("=", "in assignment")
             value = self.parse_rhs()
             return ast.Assign(name=name.text, value=value, pos=name.pos)
-        expr = self.parse_expr(ltl=False)
+        expr = self.parse_expr()
         return ast.ExprStmt(expr=expr, pos=tok.pos)
 
-    def peek_is(self, text: str) -> bool:
-        nxt = self.tokens[self.i + 1] if self.i + 1 < len(self.tokens) else self.tokens[-1]
-        return nxt.kind is TokenKind.PUNCT and nxt.text == text
+    def peek(self) -> Token:
+        return self.tokens[min(self.i + 1, len(self.tokens) - 1)]
 
     def parse_var_decl(self) -> ast.VarDecl:
         kw = self.expect("var", "to start a variable declaration")
@@ -341,7 +348,7 @@ class _Parser:
         ordinary expression."""
         if self.at("timeout_recv") or self.at("nonblock_recv"):
             return self.parse_recv_expr()
-        return self.parse_expr(ltl=False)
+        return self.parse_expr()
 
     def parse_recv_expr(self) -> ast.RecvExpr:
         form_tok = self.advance()
@@ -356,7 +363,7 @@ class _Parser:
         """`( channel , x, y, ... )` — values or plain target names after the channel."""
         self.expect("(", "to open the argument list")
         self.skip_newlines()
-        chan = self.parse_expr(ltl=False)
+        chan = self.parse_expr()
         rest = []
         self.skip_newlines()
         while self.at(","):
@@ -365,7 +372,7 @@ class _Parser:
             if self.at(")"):
                 break
             if values:
-                rest.append(self.parse_expr(ltl=False))
+                rest.append(self.parse_expr())
             else:
                 rest.append(self.expect_ident("as a receive target").text)
             self.skip_newlines()
@@ -392,7 +399,7 @@ class _Parser:
         kw = self.expect("for", "to start a for statement")
         var = self.expect_ident("as the loop variable")
         self.expect("in", "after the loop variable")
-        iterable = self.parse_expr(ltl=False)
+        iterable = self.parse_expr()
         body = self.parse_block()
         return ast.For(var=var.text, iterable=iterable, body=body, pos=kw.pos)
 
@@ -409,65 +416,51 @@ class _Parser:
 
     # -- expressions -------------------------------------------------------------
 
-    def parse_expr(self, ltl: bool) -> ast.Expr:
+    def parse_expr(self) -> ast.Expr:
         """A whole expression; a parenthesized one is part of the enclosing tree."""
         start = self.cur
-        expr = self.parse_implies(ltl)
+        expr = self.parse_binary(0)
         if _too_deep(expr):
             raise ParseError(f"expression is deeper than {_MAX_EXPR_DEPTH} levels", start.pos)
         return expr
 
-    def parse_implies(self, ltl: bool) -> ast.Expr:
-        left = self.parse_or(ltl)
-        if self.at("->"):
+    def parse_binary(self, level: int) -> ast.Expr:
+        """Operators of ast.BINARY_LEVELS[level] and tighter; `->` opens a nesting level."""
+        if level == len(ast.BINARY_LEVELS):
+            return self.parse_unary()
+        ops = ast.BINARY_LEVELS[level]
+        left = self.parse_binary(level + 1)
+        while self.cur.text in ops:
+            op = self.advance()
+            if op.text == "->":
+                self.enter(op)
+                right = self.parse_binary(level)
+                self.leave()
+                return ast.Binary(op="->", left=left, right=right, pos=op.pos)
+            right = self.parse_binary(level + 1)
+            left = ast.Binary(op=op.text, left=left, right=right, pos=op.pos)
+            if op.text in ("==", "!="):
+                break
+        return left
+
+    def parse_unary(self) -> ast.Expr:
+        if self.at("!") or (self.ltl and self.at_ident() and self.cur.text in ("G", "F")
+                            and _starts_operand(self.peek())):
             op = self.advance()
             self.enter(op)
-            right = self.parse_implies(ltl)  # right-associative
-            self.leave()
-            return ast.Binary(op="->", left=left, right=right, pos=op.pos)
-        return left
-
-    def parse_or(self, ltl: bool) -> ast.Expr:
-        left = self.parse_and(ltl)
-        while self.at("||"):
-            op = self.advance()
-            right = self.parse_and(ltl)
-            left = ast.Binary(op="||", left=left, right=right, pos=op.pos)
-        return left
-
-    def parse_and(self, ltl: bool) -> ast.Expr:
-        left = self.parse_cmp(ltl)
-        while self.at("&&"):
-            op = self.advance()
-            right = self.parse_cmp(ltl)
-            left = ast.Binary(op="&&", left=left, right=right, pos=op.pos)
-        return left
-
-    def parse_cmp(self, ltl: bool) -> ast.Expr:
-        left = self.parse_unary(ltl)
-        if self.at("==") or self.at("!="):
-            op = self.advance()
-            right = self.parse_unary(ltl)
-            return ast.Binary(op=op.text, left=left, right=right, pos=op.pos)
-        return left
-
-    def parse_unary(self, ltl: bool) -> ast.Expr:
-        if self.at("!") or (ltl and self.at_ident() and self.cur.text in ("G", "F")):
-            op = self.advance()
-            self.enter(op)
-            operand = self.parse_unary(ltl)
+            operand = self.parse_unary()
             self.leave()
             if op.text == "!":
                 return ast.Unary(op="!", operand=operand, pos=op.pos)
             return ast.Temporal(op=op.text, operand=operand, pos=op.pos)
-        return self.parse_primary(ltl)
+        return self.parse_primary()
 
-    def parse_primary(self, ltl: bool) -> ast.Expr:
+    def parse_primary(self) -> ast.Expr:
         tok = self.cur
         if self.at("("):
             self.enter(self.advance())
             self.skip_newlines()
-            inner = self.parse_implies(ltl)
+            inner = self.parse_binary(0)
             self.skip_newlines()
             self.expect(")", "to close the parenthesized expression")
             self.leave()

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from . import syntax as ast
 
-_PREC = {"->": 1, "||": 2, "&&": 3, "==": 4, "!=": 4}
-_UNARY_PREC = 5
+_PREC = {op: prec for prec, ops in enumerate(ast.BINARY_LEVELS, 1) for op in ops}
+_UNARY_PREC = len(ast.BINARY_LEVELS) + 1
 
 
 def print_type(ty: ast.TypeNode) -> str:

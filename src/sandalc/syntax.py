@@ -79,9 +79,14 @@ class Unary(Expr):
     operand: Expr = None  # type: ignore[assignment]
 
 
+# The binary operators by precedence level, loosest first.  `->` associates
+# to the right, `||` and `&&` to the left, and `==` and `!=` not at all.
+BINARY_LEVELS = (("->",), ("||",), ("&&",), ("==", "!="))
+
+
 @dataclass(frozen=True)
 class Binary(Expr):
-    op: str = ""  # one of && || -> == !=
+    op: str = ""  # one of BINARY_LEVELS
     left: Expr = None  # type: ignore[assignment]
     right: Expr = None  # type: ignore[assignment]
 

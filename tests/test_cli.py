@@ -118,25 +118,34 @@ def test_missing_file_is_usage_error(capsys):
     assert run(["check", "/nonexistent/model.sandal"]) == 2
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+# Runs `sandalc` with its address space capped at its own size plus 32 MB.
+_CAPPED_CHILD = (
+    "import resource, sys\n"
+    "from sandalc import cli\n"
+    "with open('/proc/self/status') as f:\n"
+    "    size = next(int(l.split()[1]) for l in f if l.startswith('VmSize:')) * 1024\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (size + (32 << 20),) * 2)\n"
+    "sys.exit(cli.run(sys.argv[1:]))\n"
+)
+_SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(sandalc.__file__).parents[1]))
+needs_proc_status = pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="needs /proc/self/status"
+)
+
+
+def run_capped(*args):
+    return subprocess.run(
+        [sys.executable, "-c", _CAPPED_CHILD, *args],
+        capture_output=True, text=True, env=_SRC_ENV, timeout=120,
+    )
+
+
+@needs_proc_status
 def test_out_of_memory_in_the_search_is_a_limit(tmp_path):
-    """The child caps its address space at its own size plus 32 MB, far below
-    the 131,801 states of N=3 with all faults."""
+    """The 32 MB are far below the 131,801 states of N=3 with all faults."""
     model = tmp_path / "n3.sandal"
     model.write_text(with_spec(family_member(3, "allfaults"), "G (true)"))
-    child = (
-        "import resource, sys\n"
-        "from sandalc import cli\n"
-        "with open('/proc/self/status') as f:\n"
-        "    size = next(int(l.split()[1]) for l in f if l.startswith('VmSize:')) * 1024\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (size + (32 << 20),) * 2)\n"
-        "sys.exit(cli.run(sys.argv[1:]))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(sandalc.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", child, "check", "--property", "2", str(model)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_capped("check", "--property", "2", str(model))
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     line = re.fullmatch(
@@ -147,6 +156,17 @@ def test_out_of_memory_in_the_search_is_a_limit(tmp_path):
     assert line is not None, proc.stderr
     assert 0 < int(line[1]) < 131_801
     assert proc.stdout == "property 2: G (true)\n"
+
+
+@needs_proc_status
+def test_out_of_memory_in_compile_is_a_limit(tmp_path):
+    """The SMV text of a 5,000,000-slot buffer does not fit in 32 MB."""
+    model = tmp_path / "big.sandal"
+    model.write_text("init { c: channel [5000000] { bool } }\n")
+    proc = run_capped("compile", str(model), "-o", str(tmp_path / "big.smv"))
+    assert proc.returncode == 3
+    assert proc.stderr == f"{model}: out of memory during compile\n"
+    assert proc.stdout == ""
 
 
 def test_state_limit_exit_code(paths, capsys):
@@ -411,10 +431,11 @@ def test_check_reports_each_property(tmp_path, capsys):
     assert "PASS" in out and "FAIL" in out
 
 
-@pytest.mark.skipif(shutil.which("sandalc") is None, reason="entry point not on PATH")
 def test_console_script_smoke(paths):
+    """Runs the installed entry point, or `python -m sandalc` from the source tree."""
+    command = ["sandalc"] if shutil.which("sandalc") else [sys.executable, "-m", "sandalc"]
     proc = subprocess.run(
-        ["sandalc", "check", paths["2pc_nofault"]], capture_output=True, text=True
+        [*command, "check", paths["2pc_nofault"]], capture_output=True, text=True, env=_SRC_ENV
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout

@@ -1,7 +1,7 @@
 import pytest
 
 from sandalc.corpus import MODEL_NAMES, corpus_source
-from sandalc.errors import LexError
+from sandalc.errors import LexError, Pos
 from sandalc.lexer import Token, TokenKind, tokenize
 
 
@@ -49,6 +49,14 @@ def test_comments_are_discarded():
     texts = [t.text for t in tokens if t.kind is not TokenKind.EOF]
     assert "//" not in " ".join(texts)
     assert "trailing" not in " ".join(texts)
+
+
+def test_synthetic_tokens_sit_at_the_newline_or_end_of_input():
+    """A comment before them does not move them back to its own column."""
+    semicolon = tokenize("x // c\n")[1]
+    assert (semicolon.text, semicolon.synthetic, semicolon.pos) == (";", True, Pos(1, 7))
+    eof = tokenize("x // c")[-1]
+    assert (eof.kind, eof.pos) == (TokenKind.EOF, Pos(1, 7))
 
 
 def test_illegal_character_is_positioned():

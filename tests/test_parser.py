@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sandalc import syntax as ast
 from sandalc.corpus import MODEL_NAMES, corpus_source
 from sandalc.errors import ParseError
 from sandalc.parser import parse_source
-from sandalc.pretty import print_model
+from sandalc.pipeline import build_model
+from sandalc.pretty import print_expr, print_model
 
 
 def test_pingpong_shape():
@@ -179,3 +182,65 @@ def test_round_trip_covers_all_statement_forms():
     first = parse_source(source)
     second = parse_source(print_model(first))
     assert first == second
+
+
+def test_ltl_block_can_name_the_constructors_g_and_f():
+    """`G` and `F` are operators only before a token that starts an operand."""
+    source = (
+        "data D { G, F }\n"
+        "proc P() { var x D = F\n  x = G }\n"
+        "init { p: P() }\n"
+        "ltl { G (p.x == F) }\n"
+        "ltl { F (G != p.x) }\n"
+        "ltl { F G !(p.x == G) }\n"
+        "ltl { G true }\n"
+    )
+    px = ast.Qualified(instance="p", variable="x")
+    g, f = ast.Name(ident="G"), ast.Name(ident="F")
+    assert [spec.formula for spec in parse_source(source).ltl_specs] == [
+        ast.Temporal(op="G", operand=ast.Binary(op="==", left=px, right=f)),
+        ast.Temporal(op="F", operand=ast.Binary(op="!=", left=g, right=px)),
+        ast.Temporal(op="F", operand=ast.Temporal(
+            op="G", operand=ast.Unary(operand=ast.Binary(op="==", left=px, right=g)))),
+        ast.Temporal(op="G", operand=ast.BoolLit(value=True)),
+    ]
+    assert len(build_model(source).system.ltl_specs) == 4
+
+
+_NAMES = st.sampled_from(["x", "p", "G", "F"])
+_LEAVES = st.one_of(
+    st.builds(ast.Name, ident=_NAMES),
+    st.builds(ast.BoolLit, value=st.booleans()),
+    st.builds(ast.Qualified, instance=_NAMES, variable=_NAMES),
+)
+
+
+def expressions(temporal: bool):
+    """Expression trees; with `temporal`, `G` and `F` nodes too, as in an ltl block."""
+
+    def extend(children):
+        nodes = [
+            st.builds(ast.Unary, op=st.just("!"), operand=children),
+            st.builds(ast.Binary, op=st.sampled_from(["->", "||", "&&", "==", "!="]),
+                      left=children, right=children),
+        ]
+        if temporal:
+            nodes.append(st.builds(ast.Temporal, op=st.sampled_from(["G", "F"]), operand=children))
+        return st.one_of(nodes)
+
+    return st.recursive(_LEAVES, extend, max_leaves=12)
+
+
+@settings(database=None, deadline=None, derandomize=True, max_examples=300)
+@given(expressions(temporal=False), expressions(temporal=True))
+def test_printed_expressions_parse_back(expr, formula):
+    """parse∘print is the identity on expressions, in a template and in ltl blocks."""
+    source = (
+        f"proc P() {{ x = {print_expr(expr)} }}\n"
+        "init {}\n"
+        f"ltl {{ {print_expr(expr)} }}\n"
+        f"ltl {{ {print_expr(formula)} }}\n"
+    )
+    model = parse_source(source)
+    assert model.proc_decls[0].body.stmts[0].value == expr
+    assert [spec.formula for spec in model.ltl_specs] == [expr, formula]
