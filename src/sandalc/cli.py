@@ -1,10 +1,11 @@
 """Command-line driver.
 
 Exit codes: 0 success / all properties hold; 1 a property fails (the
-counterexample is printed); 2 usage, lexical, parse or type error, or an
-unwritable output file; 3 a resource limit was hit (the state bound, or
-memory in any command); 4 internal error (a one-line message on stderr);
-141 stdout was closed early, e.g. by `| head` (nothing is printed).
+counterexample is printed); 2 usage, lexical, parse or type error, a source
+that is not UTF-8, or an unwritable output file or stdout; 3 a resource limit
+was hit (the state bound, or memory in any command); 4 internal error (a
+one-line message on stderr); 141 stdout was closed early, e.g. by `| head`
+(nothing is printed).
 """
 
 from __future__ import annotations
@@ -83,6 +84,9 @@ def _load(path: str) -> BuildResult:
             source = handle.read()
     except OSError as exc:
         print(f"{path}: {exc.strerror}", file=sys.stderr)
+        raise _CliError(EXIT_ERROR)
+    except UnicodeDecodeError as exc:
+        print(f"{path}: not UTF-8: {exc.reason} at byte offset {exc.start}", file=sys.stderr)
         raise _CliError(EXIT_ERROR)
     try:
         return build_model(source)
@@ -166,12 +170,16 @@ def run(argv: list[str] | None = None) -> int:
             return exc.code
         finally:
             sys.stdout.flush()  # a closed pipe shows here, not at exit
-    except BrokenPipeError:
+    except OSError as exc:
+        # The commands report their own files, so this is stdout's error.
         # Python's SIGPIPE recipe: what is left of stdout goes to devnull at
         # exit instead of failing again.  A stream without a file has none.
         with contextlib.suppress(AttributeError, OSError):
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return _EXIT_CLOSED_PIPE
+        if isinstance(exc, BrokenPipeError):
+            return _EXIT_CLOSED_PIPE
+        print(f"sandalc: cannot write output: {exc.strerror}", file=sys.stderr)
+        return EXIT_ERROR
     except MemoryError:
         pass  # leaving the handler frees the frames that filled memory
     except Exception as exc:  # last resort: never show a traceback, never exit 1

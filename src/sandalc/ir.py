@@ -1,10 +1,12 @@
 """Lowering of process bodies into guarded transition automata.
 
-Each statement contributes a fragment of locations and transitions; a process
-automaton is the concatenation of its statements' fragments.  Most statements
-are one edge to a fresh location (`_Builder.step`); assignments, initialized
-`var`s and receive expressions share one store path, and `peek` is the
-buffered `recv` without its pop.  Rendezvous
+Each construct is lowered between an entry and an exit location that it is
+given: a statement sequence, or an unrolled `for`, puts one fresh location
+between each pair of consecutive parts, and every branch of an if, choice or
+receive condition ends on the shared exit, so branches join without any
+merging afterwards.  Most statements are one edge from entry to exit;
+assignments, initialized `var`s and receive expressions share one store
+path, and `peek` is the buffered `recv` without its pop.  Rendezvous
 communication uses the three-variable handshake (ready flag, received flag,
 one-slot value buffer): a send occupies two transitions through an
 intermediate location, a receive is a single transition, and the sender's
@@ -19,13 +21,14 @@ finds every send by its `send.fire` or `send.buffered` edge.
 
 Loops are unrolled (array bindings are static after instantiation), so every
 automaton is acyclic: no transition leads back to a location its process has
-already left.  Location numbers follow first appearance, not a topological
-order: a branch that joins an earlier branch's exit jumps to a lower number.
+already left.  Locations are numbered entry first, then by first appearance
+along the edge list, not in a topological order: a branch that joins an
+earlier branch's exit jumps to a lower number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import sema
@@ -199,68 +202,11 @@ class CompiledSystem:
 
 
 # ---------------------------------------------------------------------------
-# Builder
-
-
-class _Builder:
-    def __init__(self) -> None:
-        self.next_loc = 0
-        self.transitions: list[Transition] = []
-        self.alias: dict[int, int] = {}
-
-    def fresh(self) -> int:
-        loc = self.next_loc
-        self.next_loc += 1
-        return loc
-
-    def resolve(self, loc: int) -> int:
-        while loc in self.alias:
-            loc = self.alias[loc]
-        return loc
-
-    def merge(self, loc: int, into: int) -> int:
-        """Identify two locations (used to join if/choice branches)."""
-        loc, into = self.resolve(loc), self.resolve(into)
-        if loc != into:
-            self.alias[loc] = into
-        return into
-
-    def add(self, src, dst, guard, actions, kind, desc, pos) -> None:
-        self.transitions.append(Transition(src, dst, guard, tuple(actions), kind, desc, pos))
-
-    def step(self, src, guard, actions, kind, desc, pos) -> int:
-        """Add one edge from src to a fresh location and return that location."""
-        dst = self.fresh()
-        self.add(src, dst, guard, actions, kind, desc, pos)
-        return dst
-
-    def build(
-        self, name: str, entry: int, terminal: int, locals_: tuple[SlotInfo, ...]
-    ) -> ProcessAutomaton:
-        # Renumber locations compactly and deterministically: entry first,
-        # then in order of appearance along the transition list.
-        # The terminal is the destination of some edge: an empty body still
-        # lowers to one noop step.
-        numbering: dict[int, int] = {self.resolve(entry): 0}
-        for t in self.transitions:
-            for loc in (self.resolve(t.src), self.resolve(t.dst)):
-                numbering.setdefault(loc, len(numbering))
-        transitions = tuple(
-            replace(t, src=numbering[self.resolve(t.src)], dst=numbering[self.resolve(t.dst)])
-            for t in self.transitions
-        )
-        return ProcessAutomaton(
-            name=name,
-            n_locations=len(numbering),
-            entry=0,
-            terminal=numbering[self.resolve(terminal)],
-            transitions=transitions,
-            locals=locals_,
-        )
-
-
-# ---------------------------------------------------------------------------
 # Lowering
+
+
+# One edge before renumbering: (src, dst, guard, actions, kind, desc, pos).
+_Edge = tuple[int, int, IrExpr, tuple[Action, ...], str, str, Pos]
 
 
 class _Lowerer:
@@ -268,8 +214,24 @@ class _Lowerer:
         self.system = system
         self.proc = proc
         self.info = system.template_info(proc)
-        self.builder = _Builder()
+        self.n_locs = 0
+        self.edges: list[_Edge] = []
         self.loop_env: dict[int, int] = {}  # id(For node) -> current channel index
+
+    def fresh(self) -> int:
+        self.n_locs += 1
+        return self.n_locs - 1
+
+    def add(self, src, dst, guard, actions, kind, desc, pos) -> None:
+        self.edges.append((src, dst, guard, tuple(actions), kind, desc, pos))
+
+    def spans(self, entry: int, exit_: int, n: int):
+        """n consecutive (entry, exit) pairs from entry to exit, with a fresh
+        location between each pair."""
+        for i in range(n):
+            mid = exit_ if i == n - 1 else self.fresh()
+            yield entry, mid
+            entry = mid
 
     # -- name resolution against the instantiated bindings
 
@@ -311,71 +273,74 @@ class _Lowerer:
         assert isinstance(expr, ast.Binary), f"cannot compile {expr!r}"
         return PBin(expr.op, self.compile_expr(expr.left), self.compile_expr(expr.right))
 
-    # -- fragments; every lowering maps an entry location to a returned exit
+    # -- fragments; every lowering adds its edges between a given entry and exit
 
-    def lower_block(self, block: ast.Block, entry: int) -> int:
+    def lower_block(self, block: ast.Block, entry: int, exit_: int) -> None:
         if not block.stmts:
-            return self.builder.step(entry, TRUE, (), "noop", "skip", block.pos)
-        loc = entry
-        for stmt in block.stmts:
-            loc = self.lower_stmt(stmt, loc)
-        return loc
+            self.add(entry, exit_, TRUE, (), "noop", "skip", block.pos)
+        for stmt, (src, dst) in zip(block.stmts, self.spans(entry, exit_, len(block.stmts))):
+            self.lower_stmt(stmt, src, dst)
 
-    def lower_stmt(self, stmt: ast.Stmt, entry: int) -> int:
+    def lower_stmt(self, stmt: ast.Stmt, entry: int, exit_: int) -> None:
         if isinstance(stmt, ast.VarDecl):
-            return self.lower_var(stmt, entry)
-        if isinstance(stmt, ast.Assign):
+            self.lower_var(stmt, entry, exit_)
+        elif isinstance(stmt, ast.Assign):
             slot = self.info.assign_slots[id(stmt)]
-            return self.lower_store(slot, stmt.value, stmt.name, "assign", stmt.pos, entry)
-        if isinstance(stmt, ast.Send):
-            return self.lower_send(stmt, entry)
-        if isinstance(stmt, ast.Recv):
-            return self.lower_recv(stmt, entry)
-        if isinstance(stmt, ast.If):
-            return self.lower_if(stmt, entry)
-        if isinstance(stmt, ast.For):
-            return self.lower_for(stmt, entry)
-        if isinstance(stmt, ast.Choice):
-            return self.lower_choice(stmt, entry)
-        assert isinstance(stmt, ast.ExprStmt)
-        return self.builder.step(entry, TRUE, (), "expr", print_expr(stmt.expr), stmt.pos)
+            self.lower_store(slot, stmt.value, stmt.name, "assign", stmt.pos, entry, exit_)
+        elif isinstance(stmt, ast.Send):
+            self.lower_send(stmt, entry, exit_)
+        elif isinstance(stmt, ast.Recv):
+            self.lower_recv(stmt, entry, exit_)
+        elif isinstance(stmt, ast.If):
+            self.lower_if(stmt, entry, exit_)
+        elif isinstance(stmt, ast.For):
+            self.lower_for(stmt, entry, exit_)
+        elif isinstance(stmt, ast.Choice):
+            # Alternatives branch from the shared entry, so an alternative is
+            # selectable exactly when its first statement is enabled.
+            for block in stmt.blocks:
+                self.lower_block(block, entry, exit_)
+        else:
+            assert isinstance(stmt, ast.ExprStmt)
+            self.add(entry, exit_, TRUE, (), "expr", print_expr(stmt.expr), stmt.pos)
 
-    def lower_var(self, stmt: ast.VarDecl, entry: int) -> int:
+    def lower_var(self, stmt: ast.VarDecl, entry: int, exit_: int) -> None:
         slot = self.info.decl_slots[id(stmt)]
         lhs = f"var {stmt.name}"
         if stmt.init is not None:
-            return self.lower_store(slot, stmt.init, lhs, "var", stmt.pos, entry)
-        zero = ASetVar(slot, _const_to_expr(self.info.slots[slot].zero))
-        return self.builder.step(entry, TRUE, (zero,), "var", lhs, stmt.pos)
+            self.lower_store(slot, stmt.init, lhs, "var", stmt.pos, entry, exit_)
+        else:
+            zero = ASetVar(slot, _const_to_expr(self.info.slots[slot].zero))
+            self.add(entry, exit_, TRUE, (zero,), "var", lhs, stmt.pos)
 
     def lower_store(
-        self, slot: int, rhs: ast.Expr, lhs: str, kind: str, pos: Pos, entry: int
-    ) -> int:
+        self, slot: int, rhs: ast.Expr, lhs: str, kind: str, pos: Pos, entry: int, exit_: int
+    ) -> None:
         """`lhs = rhs` into a slot.  A timeout_recv or nonblock_recv on the
-        right has two edges that join at once, each storing its outcome."""
+        right has two edges to the exit, each storing its outcome."""
         if not isinstance(rhs, ast.RecvExpr):
             store = ASetVar(slot, self.compile_expr(rhs))
-            return self.builder.step(entry, TRUE, (store,), kind, f"{lhs} = {print_expr(rhs)}", pos)
+            self.add(entry, exit_, TRUE, (store,), kind, f"{lhs} = {print_expr(rhs)}", pos)
+            return
         text, taken, untaken = self._branches(rhs)
-        exit_ = self.builder.fresh()
         for (guard, actions, branch_kind), result in ((taken, True), (untaken, False)):
             stored = actions + (ASetVar(slot, PBool(result)),)
-            self.builder.add(entry, exit_, guard, stored, branch_kind, f"{lhs} = {text}", pos)
-        return exit_
+            self.add(entry, exit_, guard, stored, branch_kind, f"{lhs} = {text}", pos)
 
-    def lower_send(self, stmt: ast.Send, entry: int) -> int:
+    def lower_send(self, stmt: ast.Send, entry: int, exit_: int) -> None:
         chan = self.channel_of(stmt.channel)
         payload = tuple(self.compile_expr(v) for v in stmt.values)
         values = ", ".join(print_expr(v) for v in stmt.values)
         desc = f"send({self.chan_name(chan)}, {values})"
-        step = self.builder.step
         ty = self.chan_type(chan)
         if ty.is_buffered:
-            return step(entry, EChanNotFull(chan, ty.capacity), (APush(chan, payload),),
-                        "send.buffered", desc, stmt.pos)
-        mid = step(entry, PNot(EChanReady(chan)), (ABeginSend(chan, payload),),
-                   "send.fire", desc, stmt.pos)
-        return step(mid, EChanReceived(chan), (AFinishSend(chan),), "send.done", desc, stmt.pos)
+            self.add(entry, exit_, EChanNotFull(chan, ty.capacity), (APush(chan, payload),),
+                     "send.buffered", desc, stmt.pos)
+            return
+        mid = self.fresh()
+        self.add(entry, mid, PNot(EChanReady(chan)), (ABeginSend(chan, payload),),
+                 "send.fire", desc, stmt.pos)
+        self.add(mid, exit_, EChanReceived(chan), (AFinishSend(chan),), "send.done", desc, stmt.pos)
 
     def _recv_guard(self, chan: int) -> IrExpr:
         if self.chan_type(chan).is_buffered:
@@ -391,7 +356,7 @@ class _Lowerer:
         copies = tuple(ASetVar(slot, EChanBufItem(chan, i)) for i, slot in enumerate(slots))
         return copies + (AMarkReceived(chan),)
 
-    def lower_recv(self, stmt: ast.Recv, entry: int) -> int:
+    def lower_recv(self, stmt: ast.Recv, entry: int, exit_: int) -> None:
         """recv, or peek: the buffered recv without its trailing pop (sema
         rejects a peek on a rendezvous channel)."""
         chan = self.channel_of(stmt.channel)
@@ -401,7 +366,7 @@ class _Lowerer:
         actions = self._recv_actions(chan, slots)
         if form == "peek":
             actions = actions[:-1]
-        return self.builder.step(entry, self._recv_guard(chan), actions, form, desc, stmt.pos)
+        self.add(entry, exit_, self._recv_guard(chan), actions, form, desc, stmt.pos)
 
     def _branches(self, cond: ast.Expr) -> tuple[str, _Branch, _Branch]:
         """A condition's text and its taken and untaken edges."""
@@ -420,37 +385,27 @@ class _Lowerer:
         taken = (guard, self._recv_actions(chan, slots), "nonblock.ok")
         return text, taken, (PNot(guard), (), "nonblock.fail")
 
-    def lower_if(self, stmt: ast.If, entry: int) -> int:
+    def lower_if(self, stmt: ast.If, entry: int, exit_: int) -> None:
         text, taken, untaken = self._branches(stmt.cond)
         desc = f"if {text}"
-        then_entry = self.builder.step(entry, *taken, desc, stmt.pos)
-        exit_ = self.lower_block(stmt.then, then_entry)
+        then_entry = self.fresh()
+        self.add(entry, then_entry, *taken, desc, stmt.pos)
+        self.lower_block(stmt.then, then_entry, exit_)
         if stmt.els is None:
-            self.builder.add(entry, exit_, *untaken, desc, stmt.pos)
+            self.add(entry, exit_, *untaken, desc, stmt.pos)
         else:
-            else_entry = self.builder.step(entry, *untaken, desc, stmt.pos)
-            self.builder.merge(self.lower_block(stmt.els, else_entry), exit_)
-        return exit_
+            else_entry = self.fresh()
+            self.add(entry, else_entry, *untaken, desc, stmt.pos)
+            self.lower_block(stmt.els, else_entry, exit_)
 
-    def lower_for(self, stmt: ast.For, entry: int) -> int:
+    def lower_for(self, stmt: ast.For, entry: int, exit_: int) -> None:
         channels = self.channel_list_of(stmt.iterable)
         if not channels:
-            return self.builder.step(entry, TRUE, (), "noop", "for (empty)", stmt.pos)
-        loc = entry
-        for chan in channels:
+            self.add(entry, exit_, TRUE, (), "noop", "for (empty)", stmt.pos)
+        for chan, (src, dst) in zip(channels, self.spans(entry, exit_, len(channels))):
             self.loop_env[id(stmt)] = chan
-            loc = self.lower_block(stmt.body, loc)
-        del self.loop_env[id(stmt)]
-        return loc
-
-    def lower_choice(self, stmt: ast.Choice, entry: int) -> int:
-        # Alternatives branch from the shared entry, so an alternative is
-        # selectable exactly when its first statement is enabled.
-        exit_ = self.lower_block(stmt.blocks[0], entry)
-        for block in stmt.blocks[1:]:
-            other_exit = self.lower_block(block, entry)
-            self.builder.merge(other_exit, exit_)
-        return exit_
+            self.lower_block(stmt.body, src, dst)
+        self.loop_env.pop(id(stmt), None)
 
 
 def _const_to_expr(value: Value) -> IrExpr:
@@ -461,11 +416,26 @@ def lower_process(system: SystemInstance, proc_index: int) -> ProcessAutomaton:
     """Lower one instantiated process into its automaton."""
     proc = system.processes[proc_index]
     lowerer = _Lowerer(system, proc)
-    builder = lowerer.builder
-    entry = builder.fresh()
+    entry, terminal = lowerer.fresh(), lowerer.fresh()
     # An empty body lowers to one noop step, so entry != terminal.
-    terminal = lowerer.lower_block(system.template_info(proc).template.body, entry)
-    return builder.build(proc.name, entry, terminal, tuple(lowerer.info.slots))
+    lowerer.lower_block(system.template_info(proc).template.body, entry, terminal)
+    # Renumber compactly and deterministically: entry first, then in order of
+    # first appearance along the edge list.
+    numbering = {entry: 0}
+    for src, dst, *_ in lowerer.edges:
+        numbering.setdefault(src, len(numbering))
+        numbering.setdefault(dst, len(numbering))
+    transitions = tuple(
+        Transition(numbering[src], numbering[dst], *rest) for src, dst, *rest in lowerer.edges
+    )
+    return ProcessAutomaton(
+        name=proc.name,
+        n_locations=len(numbering),
+        entry=0,
+        terminal=numbering[terminal],
+        transitions=transitions,
+        locals=tuple(lowerer.info.slots),
+    )
 
 
 def lower_system(system: SystemInstance) -> CompiledSystem:

@@ -1,18 +1,19 @@
 """Emission of the woven system as a self-contained SMV module text.
 
 One module per channel and per process instance holds that component's state
-variables; main instantiates everything and owns the transition relation.  A
-bookkeeping variable `step` names the woven transition taken last, one
-symbol per transition plus `t_none`; its next value is the interleaving
-scheduler's nondeterministic choice.  The first TRANS is a disjunction with
-one disjunct per transition, listing only its enabledness and the fields it
-writes, plus the `t_none` stutter disjunct of a deadlocked state.  Then one
-TRANS per state field keeps its value unless `next(step)` is one of the
-transitions that write it, so the text is linear in transitions plus writes.
-The per-process JUSTICE constraints read `step`.  They are always emitted,
-and they cannot change a verdict: the automata are acyclic, so every
-infinite path ends in the stutter, where no process is enabled, and each
-constraint holds on it.
+variables, each listed once in the component's table of (field, type, INIT
+conjunct); main instantiates everything, owns the transition relation and
+reads its keep rules' field list from the same tables.  A bookkeeping variable
+`step` names the woven transition taken last, one symbol per transition plus
+`t_none`; its next value is the interleaving scheduler's nondeterministic
+choice.  The first TRANS is a disjunction with one disjunct per transition,
+listing only its enabledness and the fields it writes, plus the `t_none`
+stutter disjunct of a deadlocked state.  Then one TRANS per state field keeps
+its value unless `next(step)` is one of the transitions that write it, so the
+text is linear in transitions plus writes.  The per-process JUSTICE
+constraints read `step`.  They are always emitted, and they cannot change a
+verdict: the automata are acyclic, so every infinite path ends in the stutter,
+where no process is enabled, and each constraint holds on it.
 
 Guards, values and ltl formulas print through sema.render and the emitter's
 leaf tables.  Faults are already present in the woven automata, so the output
@@ -28,6 +29,9 @@ from . import ir
 from .sema import BoolType, EnumType, PAtom, PBool, PEnum, Prop, SystemInstance, Value
 from .sema import render, zero_value
 
+
+# One state variable of a component: (field, SMV type, INIT conjunct).
+_Field = tuple[str, str, str]
 
 # Binary operators of guards and ltl formulas, in SMV syntax.
 _BINARY_OPS = {"&&": "&", "||": "|", "->": "->", "==": "=", "!=": "!="}
@@ -173,63 +177,44 @@ class _Emitter:
         """An ltl formula: atoms name any process, `!` parenthesizes."""
         return render(p, self.ltl_spell, _BINARY_OPS, "!({})")
 
-    # -- channel modules
+    # -- state fields, one table per component
 
-    def channel_module(self, chan: int) -> tuple[str, str]:
-        decl = self.system.channels[chan]
-        name = f"chan_{self.chan_ids[chan]}"
-        lines = [f"MODULE {name}", "  VAR"]
-        inits = []
-        if decl.type.is_buffered:
-            cap = decl.type.capacity
-            lines.append(f"    len : 0..{cap};")
-            inits.append("len = 0")
-            for i in range(cap):
-                for j, ty in enumerate(decl.type.payload):
-                    lines.append(f"    q{i}_{j} : {self.value_type(ty)};")
-                    inits.append(f"q{i}_{j} = {self.literal(zero_value(ty))}")
-        else:
-            lines.append("    ready : boolean;")
-            lines.append("    received : boolean;")
-            inits.extend(["!ready", "!received"])
-            for j, ty in enumerate(decl.type.payload):
-                lines.append(f"    v{j} : {self.value_type(ty)};")
-                inits.append(f"v{j} = {self.literal(zero_value(ty))}")
-        lines.append("  INIT " + " & ".join(inits) + ";")
-        return name, "\n".join(lines) + "\n"
+    def value_field(self, field: str, ty) -> _Field:
+        """A payload item or local variable, initially its type's zero."""
+        return field, self.value_type(ty), f"{field} = {self.literal(zero_value(ty))}"
 
-    # -- process modules
+    def channel_fields(self, chan: int) -> list[_Field]:
+        ty = self.system.channels[chan].type
+        if not ty.is_buffered:
+            fields = [("ready", "boolean", "!ready"), ("received", "boolean", "!received")]
+            return fields + [self.value_field(f"v{j}", vt) for j, vt in enumerate(ty.payload)]
+        return [("len", f"0..{ty.capacity}", "len = 0")] + [
+            self.value_field(f"q{i}_{j}", vt)
+            for i in range(ty.capacity)
+            for j, vt in enumerate(ty.payload)
+        ]
 
-    def process_module(self, proc: int) -> tuple[str, str]:
+    def process_fields(self, proc: int) -> list[_Field]:
         automaton = self.automata[proc]
-        name = f"proc_{self.proc_ids[proc]}"
         locs = ", ".join(self.loc_symbol(proc, loc) for loc in range(automaton.n_locations))
-        lines = [f"MODULE {name}", "  VAR", f"    loc : {{{locs}}};"]
-        inits = [f"loc = {self.loc_symbol(proc, automaton.entry)}"]
-        for slot, info in enumerate(automaton.locals):
-            lines.append(f"    {self.var_ids[proc][slot]} : {self.value_type(info.type)};")
-            inits.append(f"{self.var_ids[proc][slot]} = {self.literal(info.zero)}")
-        lines.append("  INIT " + " & ".join(inits) + ";")
-        return name, "\n".join(lines) + "\n"
+        loc = ("loc", f"{{{locs}}}", f"loc = {self.loc_symbol(proc, automaton.entry)}")
+        return [loc] + [
+            self.value_field(self.var_ids[proc][slot], info.type)
+            for slot, info in enumerate(automaton.locals)
+        ]
+
+    def components(self) -> list[tuple[str, str, list[_Field]]]:
+        """(instance name, module name, fields) per channel, then per process."""
+        chans = [
+            (cid, f"chan_{cid}", self.channel_fields(chan))
+            for chan, cid in enumerate(self.chan_ids)
+        ]
+        return chans + [
+            (pid, f"proc_{pid}", self.process_fields(proc))
+            for proc, pid in enumerate(self.proc_ids)
+        ]
 
     # -- transition effects
-
-    def _fields(self) -> list[str]:
-        """Every state field of main, in declaration order."""
-        fields = []
-        for chan, decl in enumerate(self.system.channels):
-            cid = self.chan_ids[chan]
-            if decl.type.is_buffered:
-                fields.append(f"{cid}.len")
-                for i in range(decl.type.capacity):
-                    fields += [f"{cid}.q{i}_{j}" for j in range(len(decl.type.payload))]
-            else:
-                fields += [f"{cid}.ready", f"{cid}.received"]
-                fields += [f"{cid}.v{j}" for j in range(len(decl.type.payload))]
-        for proc, pid in enumerate(self.proc_ids):
-            fields.append(f"{pid}.loc")
-            fields += [f"{pid}.{var}" for var in self.var_ids[proc].values()]
-        return fields
 
     def _effects(self, proc: int, t: ir.Transition) -> dict[str, str]:
         """Next-state value per field the transition writes."""
@@ -272,13 +257,10 @@ class _Emitter:
 
     # -- main module
 
-    def main_module(self, specs: tuple[str, ...]) -> str:
+    def main_module(self, components, specs: tuple[str, ...]) -> str:
         step = self.step_var
         lines = ["MODULE main", "  VAR"]
-        for cid in self.chan_ids:
-            lines.append(f"    {cid} : chan_{cid};")
-        for pid in self.proc_ids:
-            lines.append(f"    {pid} : proc_{pid};")
+        lines += [f"    {instance} : {name};" for instance, name, _ in components]
         symbols = ", ".join([*self.step_syms.values(), self.step_none])
         lines.append(f"    {step} : {{{symbols}}};")
         lines.append(f"  INIT {step} = {self.step_none};")
@@ -299,7 +281,11 @@ class _Emitter:
         any_enabled = " | ".join(self.enabled_ids[pid] for pid in self.proc_ids) or "FALSE"
         lines.append(f"    {self.any_enabled} := {any_enabled};")
 
-        writers: dict[str, list[str]] = {field: [] for field in self._fields()}
+        writers: dict[str, list[str]] = {
+            f"{instance}.{field}": []
+            for instance, _, fields in components
+            for field, _, _ in fields
+        }
         disjuncts = []
         for (proc, k), sym in self.step_syms.items():
             conj = [f"next({step}) = {sym}", self.en_ids[proc, k]]
@@ -325,20 +311,24 @@ class _Emitter:
         return "\n".join(lines) + "\n"
 
 
+def module(name: str, fields: list[_Field]) -> tuple[str, str]:
+    """A component module: its VAR declarations and one INIT, from its fields."""
+    lines = [f"MODULE {name}", "  VAR"]
+    lines += [f"    {field} : {ty};" for field, ty, _ in fields]
+    lines.append("  INIT " + " & ".join(init for _, _, init in fields) + ";")
+    return name, "\n".join(lines) + "\n"
+
+
 def emit_smv(system: SystemInstance, automata) -> SmvDocument:
     """Encode the woven system (faults included) as SMV module texts."""
     emitter = _Emitter(system, tuple(automata))
-    channel_modules = tuple(
-        emitter.channel_module(i) for i in range(len(system.channels))
-    )
-    process_modules = tuple(
-        emitter.process_module(i) for i in range(len(system.processes))
-    )
+    components = emitter.components()
+    modules = tuple(module(name, fields) for _, name, fields in components)
     specs = tuple(f"LTLSPEC {emitter.prop(spec.formula)};" for spec in system.ltl_specs)
-    main = emitter.main_module(specs)
+    n_chans = len(system.channels)
     return SmvDocument(
-        channel_modules=channel_modules,
-        process_modules=process_modules,
-        main_module=main,
+        channel_modules=modules[:n_chans],
+        process_modules=modules[n_chans:],
+        main_module=emitter.main_module(components, specs),
         spec_lines=specs,
     )

@@ -118,6 +118,19 @@ def test_missing_file_is_usage_error(capsys):
     assert run(["check", "/nonexistent/model.sandal"]) == 2
 
 
+@pytest.mark.parametrize("command", ["check", "compile", "dump-ir"])
+def test_source_that_is_not_utf8_is_a_usage_error(command, tmp_path, capsys):
+    model = tmp_path / "bad.sandal"
+    model.write_bytes(b"proc P() { }\n\xff\xfe bad\n")
+    argv = [command, str(model)]
+    if command == "compile":
+        argv += ["-o", str(tmp_path / "out.smv")]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{model}: not UTF-8: invalid start byte at byte offset 13\n"
+    assert captured.out == ""
+
+
 # Runs `sandalc` with its address space capped at its own size plus 32 MB.
 _CAPPED_CHILD = (
     "import resource, sys\n"
@@ -386,6 +399,25 @@ def test_closed_pipe_larger_than_its_buffer(tmp_path, unbuffered):
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 141
     assert err == b""
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["check", "dump-ir"])
+def test_stdout_without_space_is_a_usage_error(paths, command, unbuffered):
+    """A stdout that refuses writes with ENOSPC gives one line and exit 2,
+    not an internal error followed by a failed flush at exit."""
+    env = dict(_SRC_ENV)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sandalc", command, paths["2pc_drop"]],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == "sandalc: cannot write output: No space left on device\n"
 
 
 def test_property_selector(paths, capsys):

@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from sandalc.checker import (
     RvState,
     initial_state,
@@ -54,22 +56,40 @@ def test_starter_is_linear_with_handshake_midpoint():
     assert srcs == [0, 1, 2, 3] and dsts == [1, 2, 3, 4]
 
 
-def test_if_branches_merge_at_exit():
+# Each join: a construct between `var x` and `var d`, the kinds of its forking
+# edges, and the kinds of the edges that end its branches.
+JOINS = {
+    "if_else": ("if c { x = true } else { x = false }", {"if.then", "if.else"}, {"assign"}),
+    # The untaken edge ends where the then-block ends.
+    "if_without_else": ("if c { x = true }", {"if.then", "if.else"}, {"assign", "if.else"}),
+    "choice": ("choice { x = true }, { x = false }, { x = c }", {"assign"}, {"assign"}),
+    "nonblock_recv": (
+        "if nonblock_recv(ch, c) { x = true } else { x = false }",
+        {"nonblock.ok", "nonblock.fail"},
+        {"assign"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JOINS))
+def test_if_branches_merge_at_exit(case):
+    construct, fork_kinds, end_kinds = JOINS[case]
     source = (
-        "proc P() {\n"
+        "proc P(ch channel [1] { bool }) {\n"
         "  var c bool\n"
         "  var x bool\n"
-        "  if c { x = true } else { x = false }\n"
+        f"  {construct}\n"
+        "  var d bool\n"
         "}\n"
-        "init { p: P() }"
+        "init { ch: channel [1] { bool }, p: P(ch) }"
     )
     automaton = compiled(source).automata[0]
-    branches = [t for t in automaton.transitions if t.kind in ("if.then", "if.else")]
-    assert len(branches) == 2
-    assert branches[0].src == branches[1].src
-    assigns = [t for t in automaton.transitions if t.kind == "assign"]
-    assert len(assigns) == 2
-    assert assigns[0].dst == assigns[1].dst  # merged into one exit
+    forks = [t for t in automaton.transitions if t.kind in fork_kinds]
+    ends = [t for t in automaton.transitions if t.kind in end_kinds]
+    assert len(forks) == len(ends) >= 2
+    assert len({t.src for t in forks}) == 1  # one fork location
+    (join,) = {t.dst for t in ends}  # merged into one exit
+    assert [t.desc for t in automaton.by_src[join]] == ["var d"]
 
 
 def test_empty_body_gets_noop_transition():
@@ -96,9 +116,16 @@ def test_empty_array_for_lowises_to_noop():
     assert [t.kind for t in automaton.transitions] == ["noop"]
 
 
-def test_every_nonterminal_location_has_an_exit(builds):
+@pytest.fixture(scope="module")
+def all_builds(builds):
+    """The corpus models and every golden source."""
+    golden = [build_model(path.read_text()) for path in sorted(GOLDEN.glob("*.sandal"))]
+    return [*builds.values(), *golden]
+
+
+def test_every_nonterminal_location_has_an_exit(all_builds):
     """Before weaving, only the terminal lacks outgoing transitions."""
-    for built in builds.values():
+    for built in all_builds:
         for automaton in built.unwoven.automata:
             with_exit = {t.src for t in automaton.transitions}
             for loc in range(automaton.n_locations):
@@ -107,8 +134,8 @@ def test_every_nonterminal_location_has_an_exit(builds):
             assert automaton.terminal not in with_exit
 
 
-def test_automaton_connected_from_entry(builds):
-    for built in builds.values():
+def test_automaton_connected_from_entry(all_builds):
+    for built in all_builds:
         for automaton in built.unwoven.automata:
             seen = {automaton.entry}
             frontier = [automaton.entry]
