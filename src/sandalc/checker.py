@@ -22,10 +22,15 @@ path plus one stutter step as the loop of a lasso.  Weak process fairness
 cannot change a verdict, since no process is enabled at a deadlock, so there
 is no fairness setting.
 
-Guards, action values and propositions share their node set (see sema.py),
-so one evaluator serves all three.  A transition applies its actions as
-SMV's next() does: every value and payload reads the pre-state, and a later
-write to the same slot wins.
+States are named tuples (a GlobalState of ProcStates and channel records),
+so the search hashes and compares them in C, and a successor shares every
+record its step leaves unchanged.  Guards, action values and propositions
+share their node set (see sema.py), so one compiler turns all three into
+trees of closures.  A model's transitions are compiled on the first search
+and kept on its CompiledSystem; a proposition's closure is kept on its root
+node.  A transition applies its actions as SMV's next() does: every value
+and payload reads the pre-state, a later write to the same slot wins, and a
+later write to a channel replaces its whole record.
 
 Counterexamples are replayable: applying the recorded labels from the initial
 state reproduces the recorded states exactly.
@@ -37,9 +42,10 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
+from typing import Callable, NamedTuple
 
 from . import ir
-from .ir import CompiledSystem, Transition
+from .ir import CompiledSystem, ProcessAutomaton, Transition
 from .sema import PAtom, PBin, PBool, PEnum, PNot, Prop, PTemporal, ResolvedSpec, Value
 from .sema import render_value
 
@@ -67,14 +73,12 @@ class ReplayError(Exception):
 # Global states
 
 
-@dataclass(frozen=True)
-class ProcState:
+class ProcState(NamedTuple):
     loc: int
     vars: tuple[Value, ...]
 
 
-@dataclass(frozen=True)
-class RvState:
+class RvState(NamedTuple):
     """Rendezvous channel: handshake flags and the one-slot value buffer."""
 
     ready: bool = False
@@ -82,8 +86,7 @@ class RvState:
     buf: tuple[Value, ...] | None = None
 
 
-@dataclass(frozen=True)
-class BufState:
+class BufState(NamedTuple):
     """Buffered channel: bounded FIFO of payload tuples."""
 
     queue: tuple[tuple[Value, ...], ...] = ()
@@ -92,8 +95,7 @@ class BufState:
 ChanState = RvState | BufState
 
 
-@dataclass(frozen=True)
-class GlobalState:
+class GlobalState(NamedTuple):
     procs: tuple[ProcState, ...]
     chans: tuple[ChanState, ...]
 
@@ -108,79 +110,127 @@ def initial_state(cs: CompiledSystem) -> GlobalState:
 
 
 # ---------------------------------------------------------------------------
-# Expression evaluation and action application
+# Compilation of expressions and transitions into closures
+#
+# Every closure takes (vars, chans, procs): the locals of the process taking
+# the step (empty for a proposition), the channel records and the process
+# states, all of the pre-state.
+
+Fn = Callable[[tuple, tuple, tuple], Value]
+
+_new = tuple.__new__  # builds a named tuple without its Python-level __new__
+_IDLE = RvState()
+
+_BINARY: dict[str, Callable[[Fn, Fn], Fn]] = {
+    "&&": lambda l, r: lambda v, c, p: l(v, c, p) and r(v, c, p),
+    "||": lambda l, r: lambda v, c, p: l(v, c, p) or r(v, c, p),
+    "->": lambda l, r: lambda v, c, p: (not l(v, c, p)) or r(v, c, p),
+    "==": lambda l, r: lambda v, c, p: l(v, c, p) == r(v, c, p),
+    "!=": lambda l, r: lambda v, c, p: l(v, c, p) != r(v, c, p),
+}
 
 
-def _eval(e, vars_: tuple, chans: tuple, procs: tuple):
-    """Evaluate a guard or value (an ir.IrExpr) over one process's locals and
-    the channels, or a Prop, whose atoms read the locals of any process.
+def _literal(e) -> Value | None:
+    """The value of a literal node, or None for any other node."""
+    return e.value if type(e) is PBool else e.ctor if type(e) is PEnum else None
 
-    Tests run in order of frequency: a search evaluates its proposition on
-    every state, so binary nodes and atoms come first.  `&&`, `||` and `->`
-    skip their right operand when the left decides them."""
-    if isinstance(e, PBin):
-        left = _eval(e.left, vars_, chans, procs)
-        if e.op == "&&":
-            return left and _eval(e.right, vars_, chans, procs)
-        if e.op == "||":
-            return left or _eval(e.right, vars_, chans, procs)
-        if e.op == "->":
-            return (not left) or _eval(e.right, vars_, chans, procs)
-        if e.op == "==":
-            return left == _eval(e.right, vars_, chans, procs)
-        return left != _eval(e.right, vars_, chans, procs)  # !=
-    if isinstance(e, PAtom):
-        return procs[e.proc].vars[e.slot]
-    if isinstance(e, PEnum):
-        return e.ctor
-    if isinstance(e, PNot):
-        return not _eval(e.sub, vars_, chans, procs)
-    if isinstance(e, PBool):
-        return e.value
-    if isinstance(e, ir.EVar):
-        return vars_[e.slot]
-    if isinstance(e, ir.EChanReady):
-        return chans[e.chan].ready
-    if isinstance(e, ir.EChanReceived):
-        return chans[e.chan].received
-    if isinstance(e, ir.EChanBufItem):
-        return chans[e.chan].buf[e.index]
-    if isinstance(e, ir.EChanNotFull):
-        return len(chans[e.chan].queue) < e.capacity
-    if isinstance(e, ir.EChanNotEmpty):
-        return len(chans[e.chan].queue) > 0
-    if isinstance(e, PTemporal):
+
+def _compile(e) -> Fn:
+    """A closure computing a guard or value (an ir.IrExpr) or a Prop, whose
+    atoms read the locals of any process.  `&&`, `||` and `->` skip their
+    right operand when the left decides them."""
+    t = type(e)
+    if t is PBin:
+        return _BINARY[e.op](_compile(e.left), _compile(e.right))
+    if t is PNot:
+        sub = _compile(e.sub)
+        return lambda v, c, p: not sub(v, c, p)
+    if t is PAtom:
+        proc, slot = e.proc, e.slot
+        return lambda v, c, p: p[proc][1][slot]
+    if t is ir.EVar:
+        slot = e.slot
+        return lambda v, c, p: v[slot]
+    if t is PBool or t is PEnum:
+        value = _literal(e)
+        return lambda v, c, p: value
+    if t is PTemporal:
         raise UnsupportedFormula("temporal operator in propositional position")
-    assert isinstance(e, ir.EChanHeadItem)
-    return chans[e.chan].queue[0][e.index]
+    chan = e.chan
+    if t is ir.EChanReady:
+        return lambda v, c, p: c[chan][0]
+    if t is ir.EChanReceived:
+        return lambda v, c, p: c[chan][1]
+    if t is ir.EChanNotFull:
+        capacity = e.capacity
+        return lambda v, c, p: len(c[chan][0]) < capacity
+    if t is ir.EChanNotEmpty:
+        return lambda v, c, p: len(c[chan][0]) > 0
+    index = e.index
+    if t is ir.EChanBufItem:
+        return lambda v, c, p: c[chan][2][index]
+    assert t is ir.EChanHeadItem
+    return lambda v, c, p: c[chan][0][0][index]
 
 
-def _apply(t: Transition, proc_index: int, state: GlobalState) -> GlobalState:
-    """The state after `t`: each action reads `state`, a later write wins."""
-    procs, chans = state.procs, state.chans
-    pre = procs[proc_index].vars
-    vars_ = list(pre)
-    post = list(chans)
-    for action in t.actions:
-        if isinstance(action, ir.ASetVar):
-            vars_[action.slot] = _eval(action.value, pre, chans, procs)
-        elif isinstance(action, ir.ABeginSend):
-            payload = tuple(_eval(v, pre, chans, procs) for v in action.payload)
-            post[action.chan] = RvState(ready=True, received=False, buf=payload)
-        elif isinstance(action, ir.AFinishSend):
-            post[action.chan] = RvState()
-        elif isinstance(action, ir.AMarkReceived):
-            old = chans[action.chan]
-            post[action.chan] = RvState(ready=old.ready, received=True, buf=old.buf)
-        elif isinstance(action, ir.APush):
-            payload = tuple(_eval(v, pre, chans, procs) for v in action.payload)
-            post[action.chan] = BufState(queue=chans[action.chan].queue + (payload,))
-        else:
-            assert isinstance(action, ir.APop)
-            post[action.chan] = BufState(queue=chans[action.chan].queue[1:])
-    new_procs = list(procs)
-    new_procs[proc_index] = ProcState(loc=t.dst, vars=tuple(vars_))
-    return GlobalState(procs=tuple(new_procs), chans=tuple(post))
+def _compile_payload(values: tuple) -> Fn:
+    """A closure computing a payload tuple, which is one constant tuple when
+    every value is a literal."""
+    literals = tuple(map(_literal, values))
+    if None not in literals:
+        return lambda v, c, p: literals
+    fns = tuple(map(_compile, values))
+    return lambda v, c, p: tuple([f(v, c, p) for f in fns])
+
+
+def _compile_chan_write(a: ir.Action) -> Fn:
+    """A closure computing the channel's whole record after action `a`."""
+    chan = a.chan
+    if isinstance(a, ir.ABeginSend):
+        payload = _compile_payload(a.payload)
+        return lambda v, c, p: _new(RvState, (True, False, payload(v, c, p)))
+    if isinstance(a, ir.AFinishSend):
+        return lambda v, c, p: _IDLE
+    if isinstance(a, ir.AMarkReceived):
+        return lambda v, c, p: _new(RvState, (c[chan][0], True, c[chan][2]))
+    if isinstance(a, ir.APush):
+        payload = _compile_payload(a.payload)
+        return lambda v, c, p: _new(BufState, (c[chan][0] + (payload(v, c, p),),))
+    assert isinstance(a, ir.APop)
+    return lambda v, c, p: _new(BufState, (c[chan][0][1:],))
+
+
+# One compiled transition: (transition, guard or None for true, slot writes,
+# channel writes, destination).
+_Step = tuple[Transition, Fn | None, tuple[tuple[int, Fn], ...], tuple[tuple[int, Fn], ...], int]
+
+
+def _compile_automaton(automaton: ProcessAutomaton) -> tuple[tuple[_Step, ...], ...]:
+    """The compiled transitions leaving each location, in declaration order."""
+    steps: list[list[_Step]] = [[] for _ in range(automaton.n_locations)]
+    for t in automaton.transitions:
+        sets = tuple(
+            (a.slot, _compile(a.value)) for a in t.actions if isinstance(a, ir.ASetVar)
+        )
+        writes = tuple(
+            (a.chan, _compile_chan_write(a)) for a in t.actions if not isinstance(a, ir.ASetVar)
+        )
+        guard = None if t.guard == ir.TRUE else _compile(t.guard)
+        steps[t.src].append((t, guard, sets, writes, t.dst))
+    return tuple(map(tuple, steps))
+
+
+def _compiled(cs: CompiledSystem) -> tuple[tuple[tuple[_Step, ...], ...], ...]:
+    """Each automaton's compiled transitions, built on first use and kept on
+    `cs`, so commands that never search never build them."""
+    table = cs.__dict__.get("_compiled")
+    if table is None:
+        table = cs.__dict__["_compiled"] = tuple(map(_compile_automaton, cs.automata))
+    return table
+
+
+# ---------------------------------------------------------------------------
+# Successors
 
 
 Succ = tuple[int | None, str, GlobalState]
@@ -191,11 +241,27 @@ def successor_transitions(
 ) -> list[tuple[int, Transition, GlobalState]]:
     """Enabled process transitions in (process index, declaration) order."""
     out = []
-    for i, automaton in enumerate(cs.automata):
-        proc = state.procs[i]
-        for t in automaton.by_src.get(proc.loc, ()):
-            if _eval(t.guard, proc.vars, state.chans, state.procs):
-                out.append((i, t, _apply(t, i, state)))
+    procs, chans = state
+    for i, (steps, proc) in enumerate(zip(_compiled(cs), procs)):
+        loc, pre = proc
+        for t, guard, sets, writes, dst in steps[loc]:
+            if guard is not None and not guard(pre, chans, procs):
+                continue
+            vars_ = pre
+            if sets:
+                vars_ = list(pre)
+                for slot, value in sets:
+                    vars_[slot] = value(pre, chans, procs)
+                vars_ = tuple(vars_)
+            post = chans
+            if writes:
+                post = list(chans)
+                for chan, write in writes:
+                    post[chan] = write(pre, chans, procs)
+                post = tuple(post)
+            new_procs = list(procs)
+            new_procs[i] = _new(ProcState, (dst, vars_))
+            out.append((i, t, _new(GlobalState, (tuple(new_procs), post))))
     return out
 
 
@@ -220,9 +286,13 @@ def successors(cs: CompiledSystem, state: GlobalState) -> list[Succ]:
 def eval_prop(p: Prop, state: GlobalState) -> Value:
     """Evaluate a propositional formula; atoms read process-local variables.
 
+    The formula is compiled on its first evaluation and kept on its root node.
     A variable of a shutdown process keeps (and reports) its last value.
     """
-    return _eval(p, (), state.chans, state.procs)
+    fn = p.__dict__.get("_compiled")
+    if fn is None:
+        fn = p.__dict__["_compiled"] = _compile(p)
+    return fn((), state[1], state[0])
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ counterexample is printed); 2 usage, lexical, parse or type error, a source
 that is not UTF-8, or an unwritable output file or stdout; 3 a resource limit
 was hit (the state bound, or memory in any command); 4 internal error (a
 one-line message on stderr); 141 stdout was closed early, e.g. by `| head`
-(nothing is printed).
+(nothing is printed).  A diagnostic that stderr cannot take is lost, but
+its exit code stands.
 """
 
 from __future__ import annotations
@@ -73,6 +74,23 @@ def _arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _to_devnull(stream) -> None:
+    """Point a stream's file at devnull, so that what is left of it is
+    discarded at exit instead of failing again (Python's SIGPIPE recipe).
+    A stream without a file has none."""
+    with contextlib.suppress(AttributeError, OSError):
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _warn(message: str) -> None:
+    """Print a diagnostic on stderr.  One that cannot be written is lost,
+    and the exit code alone tells what happened."""
+    try:
+        print(message, file=sys.stderr)
+    except OSError:
+        _to_devnull(sys.stderr)
+
+
 class _CliError(Exception):
     def __init__(self, code: int) -> None:
         self.code = code
@@ -83,15 +101,15 @@ def _load(path: str) -> BuildResult:
         with open(path, encoding="utf-8") as handle:
             source = handle.read()
     except OSError as exc:
-        print(f"{path}: {exc.strerror}", file=sys.stderr)
+        _warn(f"{path}: {exc.strerror}")
         raise _CliError(EXIT_ERROR)
     except UnicodeDecodeError as exc:
-        print(f"{path}: not UTF-8: {exc.reason} at byte offset {exc.start}", file=sys.stderr)
+        _warn(f"{path}: not UTF-8: {exc.reason} at byte offset {exc.start}")
         raise _CliError(EXIT_ERROR)
     try:
         return build_model(source)
     except SandalError as exc:
-        print(exc.render(path), file=sys.stderr)
+        _warn(exc.render(path))
         raise _CliError(EXIT_ERROR)
 
 
@@ -105,8 +123,8 @@ def _cmd_check(args) -> int:
         return EXIT_OK
     if args.property is not None:
         if not 1 <= args.property <= len(specs):
-            print(f"--property {args.property} out of range (model has "
-                  f"{len(specs)} ltl blocks)", file=sys.stderr)
+            _warn(f"--property {args.property} out of range (model has "
+                  f"{len(specs)} ltl blocks)")
             return EXIT_ERROR
         selected = [(args.property, specs[args.property - 1])]
     else:
@@ -117,18 +135,17 @@ def _cmd_check(args) -> int:
         try:
             verdict = check_spec(built.woven, spec, max_states=args.max_states)
         except UnsupportedFormula as exc:
-            print(f"{args.input}: property {index}: {exc}", file=sys.stderr)
+            _warn(f"{args.input}: property {index}: {exc}")
             return EXIT_ERROR
         except StateLimitExceeded as exc:
-            print(f"{args.input}: {exc}", file=sys.stderr)
+            _warn(f"{args.input}: {exc}")
             return EXIT_LIMIT
         except MemoryError as exc:
             # Leaving the handler frees the search's frames.
             verdict, states = None, getattr(exc, "states", None)
         if verdict is None:
             found = "" if states is None else f" after {states} states"
-            print(f"{args.input}: out of memory{found} during the search; lower --max-states",
-                  file=sys.stderr)
+            _warn(f"{args.input}: out of memory{found} during the search; lower --max-states")
             return EXIT_LIMIT
         print(verdict.result.value)
         if verdict.counterexample is not None:
@@ -144,7 +161,7 @@ def _cmd_compile(args) -> int:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
-        print(f"{args.output}: {exc.strerror}", file=sys.stderr)
+        _warn(f"{args.output}: {exc.strerror}")
         return EXIT_ERROR
     return EXIT_OK
 
@@ -171,21 +188,19 @@ def run(argv: list[str] | None = None) -> int:
         finally:
             sys.stdout.flush()  # a closed pipe shows here, not at exit
     except OSError as exc:
-        # The commands report their own files, so this is stdout's error.
-        # Python's SIGPIPE recipe: what is left of stdout goes to devnull at
-        # exit instead of failing again.  A stream without a file has none.
-        with contextlib.suppress(AttributeError, OSError):
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # The commands report their own files and _warn its own stderr
+        # errors, so this is stdout's error.
+        _to_devnull(sys.stdout)
         if isinstance(exc, BrokenPipeError):
             return _EXIT_CLOSED_PIPE
-        print(f"sandalc: cannot write output: {exc.strerror}", file=sys.stderr)
+        _warn(f"sandalc: cannot write output: {exc.strerror}")
         return EXIT_ERROR
     except MemoryError:
         pass  # leaving the handler frees the frames that filled memory
     except Exception as exc:  # last resort: never show a traceback, never exit 1
-        print(f"sandalc: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _warn(f"sandalc: internal error: {type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
-    print(f"{args.input}: out of memory during {args.command}", file=sys.stderr)
+    _warn(f"{args.input}: out of memory during {args.command}")
     return EXIT_LIMIT
 
 

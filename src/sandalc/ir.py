@@ -181,13 +181,6 @@ class ProcessAutomaton:
     locals: tuple[SlotInfo, ...]
     shutdown_loc: int | None = None
 
-    @cached_property
-    def by_src(self) -> dict[int, tuple[Transition, ...]]:
-        index: dict[int, list[Transition]] = {}
-        for t in self.transitions:
-            index.setdefault(t.src, []).append(t)
-        return {src: tuple(ts) for src, ts in index.items()}
-
     @property
     def initial_locals(self) -> tuple[Value, ...]:
         return tuple(slot.zero for slot in self.locals)

@@ -4,8 +4,11 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sandalc.checker as checker
+import sandalc.ir as ir
 from sandalc.checker import (
     Counterexample,
     GlobalState,
@@ -169,18 +172,37 @@ def test_eval_prop_every_node():
 
 
 @pytest.mark.parametrize("op", ["&&", "||", "->"])
-def test_eval_prop_skips_a_right_operand_the_left_decides(monkeypatch, op):
-    calls = []
-    original = checker._eval
+def test_eval_prop_skips_a_right_operand_the_left_decides(op):
+    """The right operand reads a process the state lacks, so evaluating it
+    raises IndexError; it is evaluated only when the left does not decide."""
+    empty = GlobalState(procs=(), chans=())
+    missing = PAtom(proc=3, slot=0, proc_name="ghost", var_name="v", type=None)
+    decided = PBin(op, PBool(op == "||"), missing)
+    assert eval_prop(decided, empty) is (op != "&&")
+    with pytest.raises(IndexError):
+        eval_prop(PBin(op, PBool(op != "||"), missing), empty)
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
 
-    monkeypatch.setattr(checker, "_eval", counting)
-    prop = PBin(op, PBool(op == "||"), PNot(PNot(PBool(True))))
-    assert eval_prop(prop, GlobalState(procs=(), chans=())) is (op != "&&")
-    assert len(calls) == 2  # the PBin and its left operand
+def test_a_guard_skips_a_right_operand_the_left_decides():
+    """A rendezvous receive guard extended with a test of the channel's
+    buffer is false, without indexing the empty (None) buffer, while no
+    sender stands ready."""
+    cs = build_model(corpus_source("pingpong")).woven
+    receiver = cs.automata[1]
+    recv = next(t for t in receiver.transitions if t.kind == "recv")
+    chan = recv.actions[-1].chan
+    reads_buffer = PBin("==", ir.EChanBufItem(chan, 0), PBool(True))
+    probe = replace(recv, guard=PBin("&&", recv.guard, reads_buffer))
+    transitions = tuple(probe if t is recv else t for t in receiver.transitions)
+    probed = replace(cs, automata=(cs.automata[0], replace(receiver, transitions=transitions)))
+    init = initial_state(cs)
+    receiving = ProcState(recv.src, init.procs[1].vars)
+    state = GlobalState(procs=(init.procs[0], receiving), chans=init.chans)
+    assert state.chans[chan].buf is None
+    assert [label for _, label, _ in successors(probed, state)] == [
+        label for _, label, _ in successors(cs, state)
+    ]
+    assert recv.label not in [label for _, label, _ in successors(cs, state)]
 
 
 def test_eval_prop_rejects_temporal_operators():
@@ -192,6 +214,72 @@ def test_eval_prop_rejects_temporal_operators():
     ):
         with pytest.raises(UnsupportedFormula):
             eval_prop(prop, empty)
+
+
+def _reference_eval(p, procs):
+    """Propositions by plain recursion, to compare eval_prop with."""
+    if isinstance(p, PBool):
+        return p.value
+    if isinstance(p, PEnum):
+        return p.ctor
+    if isinstance(p, PAtom):
+        return procs[p.proc].vars[p.slot]
+    if isinstance(p, PNot):
+        return not _reference_eval(p.sub, procs)
+    left, right = _reference_eval(p.left, procs), lambda: _reference_eval(p.right, procs)
+    if p.op == "&&":
+        return left and right()
+    if p.op == "||":
+        return left or right()
+    if p.op == "->":
+        return (not left) or right()
+    return left == right() if p.op == "==" else left != right()
+
+
+_PROPS_STATE = GlobalState(
+    procs=(ProcState(0, (False, "Ready")), ProcState(1, (True, "Commit"))), chans=()
+)
+_LEAVES = st.sampled_from(
+    [PBool(False), PBool(True), PEnum("Ready"), PEnum("Commit")]
+    + [PAtom(proc, slot, f"p{proc}", f"v{slot}", None) for proc in (0, 1) for slot in (0, 1)]
+)
+_OPS = ["&&", "||", "->", "==", "!="]
+
+
+@st.composite
+def _props(draw, max_depth=256):
+    """A small random tree under a random spine of `!` and binary nodes,
+    at most max_depth levels deep in all."""
+    small = st.recursive(
+        _LEAVES, lambda sub: st.builds(PBin, st.sampled_from(_OPS), sub, sub), max_leaves=4
+    )
+    tree = draw(small)
+    for _ in range(draw(st.integers(0, max_depth - 4))):
+        op = draw(st.sampled_from(_OPS + ["!"]))
+        if op == "!":
+            tree = PNot(tree)
+        else:
+            other = draw(_LEAVES)
+            tree = PBin(op, tree, other) if draw(st.booleans()) else PBin(op, other, tree)
+    return tree
+
+
+def _chain(depth: int):
+    """A left-leaning chain of every binary operator and `!`, depth levels deep."""
+    tree = PAtom(1, 1, "p1", "v1", None)
+    for k in range(depth - 1):
+        op = (_OPS + ["!"])[k % 6]
+        tree = PNot(tree) if op == "!" else PBin(op, tree, PEnum("Commit"))
+    return tree
+
+
+@settings(database=None, deadline=None, derandomize=True, max_examples=150)
+@given(_props())
+@example(_chain(256))
+def test_eval_prop_agrees_with_a_reference_evaluator(prop):
+    expected = _reference_eval(prop, _PROPS_STATE.procs)
+    actual = eval_prop(prop, _PROPS_STATE)
+    assert (type(actual), actual) == (type(expected), expected)
 
 
 # ---------------------------------------------------------------------------

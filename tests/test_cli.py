@@ -9,7 +9,7 @@ import pytest
 
 import sandalc
 from sandalc.cli import run
-from sandalc.corpus import corpus
+from sandalc.corpus import corpus, corpus_source
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from models import family_member, with_spec  # noqa: E402
@@ -418,6 +418,29 @@ def test_stdout_without_space_is_a_usage_error(paths, command, unbuffered):
         )
     assert proc.returncode == 2
     assert proc.stderr == "sandalc: cannot write output: No space left on device\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "source, options, code",
+    [
+        (b"init { x }\n", [], 2),
+        (b"\xff\xfe init {}\n", [], 2),
+        (corpus_source("2pc_drop").encode(), ["--max-states", "5"], 3),
+    ],
+    ids=["parse_error", "not_utf8", "state_bound"],
+)
+def test_stderr_without_space_keeps_the_exit_code(tmp_path, source, options, code):
+    """A diagnostic that cannot be written is lost, but the exit code is still
+    its own, not the 1 of a failing property from an error in the handler."""
+    model = tmp_path / "model.sandal"
+    model.write_bytes(source)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sandalc", "check", *options, str(model)],
+            stdout=subprocess.PIPE, stderr=full, text=True, env=_SRC_ENV, timeout=120,
+        )
+    assert proc.returncode == code
 
 
 def test_property_selector(paths, capsys):

@@ -89,7 +89,7 @@ def test_if_branches_merge_at_exit(case):
     assert len(forks) == len(ends) >= 2
     assert len({t.src for t in forks}) == 1  # one fork location
     (join,) = {t.dst for t in ends}  # merged into one exit
-    assert [t.desc for t in automaton.by_src[join]] == ["var d"]
+    assert [t.desc for t in automaton.transitions if t.src == join] == ["var d"]
 
 
 def test_empty_body_gets_noop_transition():
@@ -141,8 +141,8 @@ def test_automaton_connected_from_entry(all_builds):
             frontier = [automaton.entry]
             while frontier:
                 loc = frontier.pop()
-                for t in automaton.by_src.get(loc, ()):
-                    if t.dst not in seen:
+                for t in automaton.transitions:
+                    if t.src == loc and t.dst not in seen:
                         seen.add(t.dst)
                         frontier.append(t.dst)
             assert seen == set(range(automaton.n_locations))

@@ -90,9 +90,9 @@ def test_outputs_match_pinned_digests(name):
 
 
 def test_no_woven_edge_has_two_actions_on_one_channel():
-    """`checker._apply` replaces a whole channel record per action, while the
-    emitted TRANS sets one field per `next()`; the two take the same step as
-    long as no edge acts twice on one channel."""
+    """The checker's compiled transitions replace a whole channel record per
+    action, while the emitted TRANS sets one field per `next()`; the two take
+    the same step as long as no edge acts twice on one channel."""
     edges = 0
     for name, source in SOURCES.items():
         for automaton in build_model(source).woven.automata:
