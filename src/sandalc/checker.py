@@ -7,10 +7,10 @@ are well-posed.
 
 Supported spec shapes are G(p), F(p), F(G(p)) and G(F(p)) with p
 propositional.  Lowering unrolls loops, so every process automaton is
-acyclic (checked before each search), and the only cycles of the product
-are the stutter self-loops at global deadlock.  Every run therefore ends by
-stuttering forever in one deadlocked state, and each pattern is a
-reachability question:
+acyclic (checked once per model, when its transitions are compiled), and the
+only cycles of the product are the stutter self-loops at global deadlock.
+Every run therefore ends by stuttering forever in one deadlocked state, and
+each pattern is a reachability question:
 
 * G(p) fails iff a !p state is reachable;
 * F(p) fails iff a deadlocked !p state is reachable through !p states only;
@@ -22,15 +22,24 @@ path plus one stutter step as the loop of a lasso.  Weak process fairness
 cannot change a verdict, since no process is enabled at a deadlock, so there
 is no fairness setting.
 
-States are named tuples (a GlobalState of ProcStates and channel records),
-so the search hashes and compares them in C, and a successor shares every
-record its step leaves unchanged.  Guards, action values and propositions
-share their node set (see sema.py), so one compiler turns all three into
-trees of closures.  A model's transitions are compiled on the first search
-and kept on its CompiledSystem; a proposition's closure is kept on its root
-node.  A transition applies its actions as SMV's next() does: every value
-and payload reads the pre-state, a later write to the same slot wins, and a
-later write to a channel replaces its whole record.
+The public state API uses named tuples (a GlobalState of ProcStates and
+channel records).  Guards, action values and propositions share their node
+set (see sema.py), so one compiler turns all three into trees of closures.
+A model's transitions, and the channels each location reads, are computed
+on the first search and kept on its CompiledSystem; a proposition's closure
+is kept on its root node.  A transition applies its actions as SMV's next()
+does: every value and payload reads the pre-state, a later write to the same
+slot wins, and a later write to a channel replaces its whole record.
+
+The search itself stores collapsed states, as SPIN's COLLAPSE mode does: a
+key is a flat tuple of small ints, one id per process record and one per
+channel record, interned in tables that live as long as the search.  A
+process's enabled moves depend only on its local view: its own record and
+the channels its location reads.  So each process has a move table keyed by
+its view; a miss decodes the state and calls `successors` once, which fills
+every process's view at that state.  A proposition is memoized the same way,
+on the ids of the processes its atoms read, and a miss calls `eval_prop`.
+Keys are decoded to GlobalStates only to build a counterexample.
 
 Counterexamples are replayable: applying the recorded labels from the initial
 state reproduces the recorded states exactly.
@@ -41,7 +50,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from graphlib import CycleError, TopologicalSorter
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from . import ir
@@ -220,12 +229,93 @@ def _compile_automaton(automaton: ProcessAutomaton) -> tuple[tuple[_Step, ...], 
     return tuple(map(tuple, steps))
 
 
-def _compiled(cs: CompiledSystem) -> tuple[tuple[tuple[_Step, ...], ...], ...]:
-    """Each automaton's compiled transitions, built on first use and kept on
-    `cs`, so commands that never search never build them."""
+def _require_acyclic(cs: CompiledSystem) -> None:
+    """Raise ValueError if a process automaton has a cycle.
+
+    Deciding liveness by deadlock reachability is sound only when the stutter
+    self-loops are the sole cycles of the product, which holds when every
+    automaton is acyclic.  A depth-first search from each location finds a
+    cycle as an edge back to a location on the current path.
+    """
+    for automaton in cs.automata:
+        leaving: list[list[Transition]] = [[] for _ in range(automaton.n_locations)]
+        for t in automaton.transitions:
+            leaving[t.src].append(t)
+        mark = [0] * automaton.n_locations  # 1: on the current path, 2: done
+        for root in range(automaton.n_locations):
+            if mark[root]:
+                continue
+            mark[root] = 1
+            path, todo = [root], [iter(leaving[root])]
+            while todo:
+                t = next(todo[-1], None)
+                if t is None:
+                    mark[path.pop()] = 2
+                    todo.pop()
+                elif mark[t.dst] == 1:
+                    cycle = [t.src] + path[path.index(t.dst) :]
+                    raise ValueError(
+                        f"process {automaton.name}: transition {t.src} -> {t.dst} "
+                        f"({t.label}) lies on the cycle {' -> '.join(map(str, cycle))}; "
+                        "the checker needs acyclic automata"
+                    )
+                elif not mark[t.dst]:
+                    mark[t.dst] = 1
+                    path.append(t.dst)
+                    todo.append(iter(leaving[t.dst]))
+
+
+def _chans_of(e) -> set[int]:
+    """The channels a guard or value reads."""
+    t = type(e)
+    if t is PBin:
+        return _chans_of(e.left) | _chans_of(e.right)
+    if t is PNot:
+        return _chans_of(e.sub)
+    chan = getattr(e, "chan", None)
+    return set() if chan is None else {chan}
+
+
+def _read_sets(automaton: ProcessAutomaton) -> tuple[tuple[int, ...], ...]:
+    """The channels each location reads: those that an edge leaving it uses
+    in its guard, a value, a payload or a channel action."""
+    reads: list[set[int]] = [set() for _ in range(automaton.n_locations)]
+    for t in automaton.transitions:
+        chans = reads[t.src]
+        chans |= _chans_of(t.guard)
+        for a in t.actions:
+            if isinstance(a, ir.ASetVar):
+                chans |= _chans_of(a.value)
+            else:
+                chans.add(a.chan)
+                for value in getattr(a, "payload", ()):
+                    chans |= _chans_of(value)
+    return tuple(tuple(sorted(r)) for r in reads)
+
+
+class _Compiled(NamedTuple):
+    # Per process, per location: the compiled transitions leaving it.
+    steps: tuple[tuple[tuple[_Step, ...], ...], ...]
+    # Per process, per location: the getter of its view from a collapsed key,
+    # i.e. its own id and the ids of the channels the location reads.
+    views: tuple[tuple[Callable[[tuple], object], ...], ...]
+
+
+def _compiled(cs: CompiledSystem) -> _Compiled:
+    """Each automaton's compiled transitions and view getters, built on first
+    use and kept on `cs`, so commands that never search never build them.
+    Building them first checks that every automaton is acyclic."""
     table = cs.__dict__.get("_compiled")
     if table is None:
-        table = cs.__dict__["_compiled"] = tuple(map(_compile_automaton, cs.automata))
+        _require_acyclic(cs)
+        n_procs = len(cs.automata)
+        views = tuple(
+            tuple(itemgetter(i, *(n_procs + c for c in r)) for r in _read_sets(automaton))
+            for i, automaton in enumerate(cs.automata)
+        )
+        table = cs.__dict__["_compiled"] = _Compiled(
+            tuple(map(_compile_automaton, cs.automata)), views
+        )
     return table
 
 
@@ -242,7 +332,7 @@ def successor_transitions(
     """Enabled process transitions in (process index, declaration) order."""
     out = []
     procs, chans = state
-    for i, (steps, proc) in enumerate(zip(_compiled(cs), procs)):
+    for i, (steps, proc) in enumerate(zip(_compiled(cs).steps, procs)):
         loc, pre = proc
         for t, guard, sets, writes, dst in steps[loc]:
             if guard is not None and not guard(pre, chans, procs):
@@ -364,67 +454,163 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
+# Collapsed states
+
+
+class _Collapsed:
+    """One search's collapsed state space: keys, their records, and the move
+    and proposition memos.  A key holds one id per process record, in process
+    order, then one per channel record.  Everything here lives as long as the
+    search."""
+
+    def __init__(self, cs: CompiledSystem) -> None:
+        self.cs = cs
+        self.n_procs = n_procs = len(cs.automata)
+        self.loc_views = _compiled(cs).views
+        width = n_procs + len(cs.instance.channels)
+        self.chan_pos = range(n_procs, width)  # the key positions of channels
+        # Per key position: record -> id, and id -> record.
+        self.ids: list[dict] = [{} for _ in range(width)]
+        self.records: list[list] = [[] for _ in range(width)]
+        # Per process: id -> getter of its view, and view -> its moves, each
+        # move (label, ((key position, id), ...)) in successor order.
+        self.view_of: list[list] = [[] for _ in range(n_procs)]
+        self.moves: list[dict] = [{} for _ in range(n_procs)]
+        self.per_proc = tuple(zip(range(n_procs), self.view_of, self.moves))
+        self.props: dict = {}
+
+    def clear(self) -> None:
+        for table in self.ids + self.records + self.view_of + self.moves:
+            table.clear()
+        self.props.clear()
+
+    def intern(self, pos: int, record) -> int:
+        ids = self.ids[pos]
+        n = ids.get(record)
+        if n is None:
+            n = ids[record] = len(ids)
+            self.records[pos].append(record)
+            if pos < self.n_procs:
+                self.view_of[pos].append(self.loc_views[pos][record[0]])
+        return n
+
+    def encode(self, state: GlobalState) -> tuple[int, ...]:
+        return tuple(map(self.intern, range(len(self.ids)), state[0] + state[1]))
+
+    def decode(self, key: tuple[int, ...]) -> GlobalState:
+        records = tuple(map(list.__getitem__, self.records, key))
+        return _new(GlobalState, (records[: self.n_procs], records[self.n_procs :]))
+
+    def _fill(self, key: tuple[int, ...]) -> None:
+        """Record every process's moves at `key` from one `successors` call.
+        A component a step changed is a record that is not the pre-state's;
+        one that is equal but new re-interns to the same id."""
+        state = self.decode(key)
+        chans = state[1]
+        intern = self.intern
+        found: list[list] = [[] for _ in range(self.n_procs)]
+        for i, label, nxt in successors(self.cs, state):
+            if i is None:
+                break  # the stutter: no process moves
+            writes = [(i, intern(i, nxt[0][i]))]
+            if nxt[1] is not chans:
+                writes += [
+                    (pos, intern(pos, record))
+                    for pos, record, old in zip(self.chan_pos, nxt[1], chans)
+                    if record is not old
+                ]
+            found[i].append((label, tuple(writes)))
+        for i, view_of, moves in self.per_proc:
+            moves.setdefault(view_of[key[i]](key), tuple(found[i]))
+
+    def expand(self, key: tuple[int, ...]) -> list[tuple[int | None, str, tuple[int, ...]]]:
+        """`successors` of the decoded key, with keys for states."""
+        out = []
+        for i, view_of, moves in self.per_proc:
+            view = view_of[key[i]](key)
+            found = moves.get(view)
+            if found is None:
+                self._fill(key)
+                found = moves[view]
+            for label, writes in found:
+                nxt = list(key)
+                for pos, n in writes:
+                    nxt[pos] = n
+                out.append((i, label, tuple(nxt)))
+        if not out:
+            out.append((None, STUTTER_LABEL, key))
+        return out
+
+    def negation(self, prop: Prop, init: tuple[int, ...]) -> Callable[[tuple], bool]:
+        """`not eval_prop(prop, state)` as a function of the state's key,
+        memoized on the ids of the processes the atoms of `prop` read."""
+        procs = sorted(_atom_procs(prop))
+        if not procs:
+            value = not eval_prop(prop, self.decode(init))
+            return lambda key: value
+        view = itemgetter(*procs)
+        memo = self.props
+        decode = self.decode
+
+        def notp(key: tuple[int, ...]) -> bool:
+            atoms = view(key)
+            value = memo.get(atoms)
+            if value is None:
+                value = memo[atoms] = not eval_prop(prop, decode(key))
+            return value
+
+        return notp
+
+    def path_to(self, parents: dict, key: tuple[int, ...]) -> tuple[Step, ...]:
+        names = [p.name for p in self.cs.instance.processes]
+        steps: list[Step] = []
+        while parents[key] is not None:  # a path never stutters
+            key, (proc, label, nxt) = parents[key]
+            steps.append(Step(proc, names[proc], label, self.decode(nxt)))
+        return tuple(reversed(steps))
+
+
+def _atom_procs(p: Prop) -> set[int]:
+    """The processes whose locals a proposition's atoms read."""
+    if isinstance(p, PAtom):
+        return {p.proc}
+    if isinstance(p, PNot):
+        return _atom_procs(p.sub)
+    if isinstance(p, PBin):
+        return _atom_procs(p.left) | _atom_procs(p.right)
+    return set()
+
+
+# ---------------------------------------------------------------------------
 # Search: one breadth-first search serves every pattern
 
 
-def _require_acyclic(cs: CompiledSystem) -> None:
-    """Raise ValueError if a process automaton has a cycle.
+def _search(space: _Collapsed, init, inside, target, lasso: bool, max_states: int) -> Verdict:
+    """Shortest path from key `init`, through keys satisfying `inside`, to a
+    `target` key.
 
-    Deciding liveness by deadlock reachability is sound only when the stutter
-    self-loops are the sole cycles of the product, which holds when every
-    automaton is acyclic.
-    """
-    for automaton in cs.automata:
-        order = TopologicalSorter()
-        for t in automaton.transitions:
-            order.add(t.dst, t.src)
-        try:
-            order.prepare()
-        except CycleError as exc:
-            cycle = exc.args[1]  # locations in edge order, first == last
-            t = next(t for t in automaton.transitions if [t.src, t.dst] == cycle[:2])
-            raise ValueError(
-                f"process {automaton.name}: transition {t.src} -> {t.dst} ({t.label}) "
-                f"lies on the cycle {' -> '.join(map(str, cycle))}; "
-                "the checker needs acyclic automata"
-            ) from None
-
-
-def _path_to(cs: CompiledSystem, parents, state: GlobalState) -> tuple[Step, ...]:
-    steps: list[Step] = []
-    while parents[state] is not None:  # a path never stutters
-        state, (proc, label, nxt) = parents[state]
-        steps.append(Step(proc, cs.instance.processes[proc].name, label, nxt))
-    return tuple(reversed(steps))
-
-
-def _search(
-    cs: CompiledSystem, inside, target, lasso: bool, max_states: int
-) -> Verdict:
-    """Shortest path, through states satisfying `inside`, to a `target` state.
-
-    `target(state, succs)` is tested when a state is expanded, with its
+    `target(key, succs)` is tested when a key is expanded, with its
     successors.  The path found is the counterexample; with `lasso`, one
     stutter step at the target state closes it into a loop.  A MemoryError
     leaves with the number of states found in its `states` attribute.
     """
-    _require_acyclic(cs)
-    init = initial_state(cs)
-    parents: dict[GlobalState, tuple[GlobalState, Succ] | None] = {init: None}
+    parents: dict[tuple, tuple[tuple, tuple] | None] = {init: None}
     frontier = deque([init] if inside(init) else ())
+    expand = space.expand
     try:
         while frontier:
-            state = frontier.popleft()
-            succs = successors(cs, state)
-            if target(state, succs):
+            key = frontier.popleft()
+            succs = expand(key)
+            if target(key, succs):
+                state = space.decode(key)
                 loop = (Step(None, STUTTER_NAME, STUTTER_LABEL, state),) if lasso else None
-                cex = Counterexample(init, _path_to(cs, parents, state), loop)
+                cex = Counterexample(space.decode(init), space.path_to(parents, key), loop)
                 return Verdict(Result.FAIL, cex, len(parents))
             for succ in succs:
                 nxt = succ[2]
                 if nxt in parents or not inside(nxt):
                     continue
-                parents[nxt] = (state, succ)
+                parents[nxt] = (key, succ)
                 if len(parents) > max_states:
                     raise StateLimitExceeded(max_states)
                 frontier.append(nxt)
@@ -432,6 +618,7 @@ def _search(
         count = len(parents)
         parents.clear()  # room to attach the count for the caller's diagnostic
         frontier.clear()
+        space.clear()
         exc.states = count
         raise
     return Verdict(Result.PASS, None, len(parents))
@@ -448,7 +635,9 @@ def check_spec(
     with no processes is deadlocked in its initial state and stutters there.
     """
     pattern, prop = extract_pattern(spec.formula)
-    notp = lambda s: not eval_prop(prop, s)
+    space = _Collapsed(cs)
+    init = space.encode(initial_state(cs))
+    notp = space.negation(prop, init)
     anywhere = lambda s: True
     stuck = lambda succs: len(succs) == 1 and succs[0][0] is None
     if pattern == "G":
@@ -457,7 +646,7 @@ def check_spec(
         inside, target = notp, lambda s, succs: stuck(succs)
     else:
         inside, target = anywhere, lambda s, succs: stuck(succs) and notp(s)
-    return _search(cs, inside, target, lasso=pattern != "G", max_states=max_states)
+    return _search(space, init, inside, target, pattern != "G", max_states)
 
 
 # ---------------------------------------------------------------------------

@@ -118,15 +118,15 @@ def _cmd_check(args) -> int:
     if args.report_weave:
         print(built.report.render(), end="")
     specs = built.system.ltl_specs
-    if not specs:
-        print("no ltl properties to check")
-        return EXIT_OK
     if args.property is not None:
         if not 1 <= args.property <= len(specs):
             _warn(f"--property {args.property} out of range (model has "
                   f"{len(specs)} ltl blocks)")
             return EXIT_ERROR
         selected = [(args.property, specs[args.property - 1])]
+    elif not specs:
+        print("no ltl properties to check")
+        return EXIT_OK
     else:
         selected = list(enumerate(specs, start=1))
     exit_code = EXIT_OK

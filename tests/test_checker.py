@@ -25,14 +25,16 @@ from sandalc.checker import (
     replay,
     successors,
 )
-from sandalc.corpus import corpus_source
+from sandalc.corpus import MODEL_NAMES, corpus_source
 from sandalc.pipeline import build_model
 from sandalc.sema import PAtom, PBin, PBool, PEnum, PNot, PTemporal, ResolvedSpec
 
 from oracles import build_graph, naive_verdict
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
-from models import two_phase_commit  # noqa: E402
+from models import FAULT_MIXES, family_member, two_phase_commit  # noqa: E402
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def with_ltl(source: str, formula: str) -> str:
@@ -363,6 +365,28 @@ def test_states_explored_counts_discovered_states(formula):
     _, verdict = checked(corpus_source("2pc_allfaults"), formula)
     assert verdict.passed
     assert verdict.states_explored == 6_680
+
+
+COLLAPSE_MODELS = {
+    **{f"corpus/{name}": corpus_source(name) for name in MODEL_NAMES},
+    **{f"golden/{name}": (GOLDEN / name).read_text() for name in ("conditions.sandal", "faults.sandal")},
+    **{f"n1-{mix}": family_member(1, mix) for mix in FAULT_MIXES},
+}
+
+
+@pytest.mark.parametrize("name", COLLAPSE_MODELS)
+def test_collapsed_expansion_equals_successors(name):
+    """The search's moves, memoized per process on its local view, take the
+    same steps in the same order as `successors`, from every reachable state."""
+    cs = build_model(COLLAPSE_MODELS[name]).woven
+    _, graph = build_graph(cs)
+    space = checker._Collapsed(cs)
+    for state, succs in graph.items():
+        key = space.encode(state)
+        assert space.decode(key) == state
+        expanded = [(i, label, space.decode(nxt)) for i, label, nxt in space.expand(key)]
+        assert expanded == list(succs)
+    assert check_spec(cs, spec_of("G", PBool(True))).states_explored == len(graph)
 
 
 @pytest.mark.parametrize("formula", ["G (false)", "F (false)", "F (G (false))", "G (F (false))"])

@@ -448,6 +448,15 @@ def test_property_selector(paths, capsys):
     assert run(["check", paths["2pc_nofault"], "--property", "2"]) == 2
 
 
+@pytest.mark.parametrize("index", ["0", "1", "-1"])
+def test_property_selector_on_a_model_without_ltl_is_out_of_range(paths, index, capsys):
+    """The corpus pingpong has no ltl block, so every index is out of range."""
+    assert run(["check", paths["pingpong"], "--property", index]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"--property {index} out of range (model has 0 ltl blocks)\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["check", "compile"])
 def test_fairness_flag_is_a_usage_error(paths, command, tmp_path, capsys):
     argv = [command, paths["2pc_nofault"], "--fairness", "off"]

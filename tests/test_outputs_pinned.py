@@ -14,6 +14,7 @@ for an intended change of output, with
 and review the diff.
 """
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -21,10 +22,11 @@ from pathlib import Path
 
 import pytest
 
-from sandalc.checker import check_spec, format_trace
+from sandalc.checker import _read_sets, check_spec, format_trace
 from sandalc.corpus import MODEL_NAMES, corpus_source
 from sandalc.ir import ASetVar, dump_automaton
 from sandalc.pipeline import build_model
+from sandalc.sema import PAtom
 from sandalc.smv import emit_smv
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -99,6 +101,37 @@ def test_no_woven_edge_has_two_actions_on_one_channel():
             for t in automaton.transitions:
                 chans = [a.chan for a in t.actions if not isinstance(a, ASetVar)]
                 assert len(chans) == len(set(chans)), f"{name}: {automaton.name}: {t.label}"
+            edges += len(automaton.transitions)
+    assert edges > len(SOURCES)
+
+
+def _nodes(value):
+    """A value and everything under it, walked through dataclass fields and
+    tuples."""
+    yield value
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _nodes(getattr(value, field.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _nodes(item)
+
+
+def test_every_channel_an_edge_uses_is_read_at_its_source():
+    """The search memoizes a process's moves on its own record and the
+    channels its location reads.  That is sound only if no woven guard,
+    value or payload reads another process (a PAtom), and if every channel
+    an edge uses is in its source location's read set."""
+    edges = 0
+    for name, source in SOURCES.items():
+        cs = build_model(source).woven
+        for automaton in cs.automata:
+            reads = _read_sets(automaton)
+            for t in automaton.transitions:
+                nodes = list(_nodes((t.guard, t.actions)))
+                where = f"{name}: {automaton.name}: {t.label}"
+                assert not any(isinstance(n, PAtom) for n in nodes), where
+                assert {n.chan for n in nodes if hasattr(n, "chan")} <= set(reads[t.src]), where
             edges += len(automaton.transitions)
     assert edges > len(SOURCES)
 
