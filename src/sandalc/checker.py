@@ -36,10 +36,14 @@ key is a flat tuple of small ints, one id per process record and one per
 channel record, interned in tables that live as long as the search.  A
 process's enabled moves depend only on its local view: its own record and
 the channels its location reads.  So each process has a move table keyed by
-its view; a miss decodes the state and calls `successors` once, which fills
-every process's view at that state.  A proposition is memoized the same way,
-on the ids of the processes its atoms read, and a miss calls `eval_prop`.
-Keys are decoded to GlobalStates only to build a counterexample.
+its view, holding only the ids each move writes; a miss decodes the state
+and calls `successors` once, which fills every process's view at that
+state.  A proposition reads only the slots of its atoms, so every record of
+a process it reads gets a class id, one per valuation of those slots, and
+the proposition is memoized on the class ids: `eval_prop` runs once per
+valuation of its atoms.  The search keeps only each key's parent key.  A
+counterexample decodes the path and takes, at each step, the first step of
+`successors` that reaches the next state, which is the one the search kept.
 
 Counterexamples are replayable: applying the recorded labels from the initial
 state reproduces the recorded states exactly.
@@ -463,8 +467,9 @@ class _Collapsed:
     order, then one per channel record.  Everything here lives as long as the
     search."""
 
-    def __init__(self, cs: CompiledSystem) -> None:
+    def __init__(self, cs: CompiledSystem, prop: Prop) -> None:
         self.cs = cs
+        self.prop = prop
         self.n_procs = n_procs = len(cs.automata)
         self.loc_views = _compiled(cs).views
         width = n_procs + len(cs.instance.channels)
@@ -473,15 +478,23 @@ class _Collapsed:
         self.ids: list[dict] = [{} for _ in range(width)]
         self.records: list[list] = [[] for _ in range(width)]
         # Per process: id -> getter of its view, and view -> its moves, each
-        # move (label, ((key position, id), ...)) in successor order.
+        # move the ((key position, id), ...) it writes, in successor order.
         self.view_of: list[list] = [[] for _ in range(n_procs)]
         self.moves: list[dict] = [{} for _ in range(n_procs)]
         self.per_proc = tuple(zip(range(n_procs), self.view_of, self.moves))
+        # Per process the atoms of `prop` read: the getter of the slots they
+        # read, and id -> class id.  Class ids come from one valuation -> id
+        # table, since they need only tell apart the valuations of a process.
+        atoms = sorted(_atoms(prop))
+        self.atoms = {i: itemgetter(*(s for j, s in atoms if j == i)) for i, _ in atoms}
+        self.class_ids: dict = {}
+        self.classes: list[list] = [[] for _ in range(n_procs)]
         self.props: dict = {}
 
     def clear(self) -> None:
-        for table in self.ids + self.records + self.view_of + self.moves:
+        for table in self.ids + self.records + self.view_of + self.moves + self.classes:
             table.clear()
+        self.class_ids.clear()
         self.props.clear()
 
     def intern(self, pos: int, record) -> int:
@@ -492,6 +505,9 @@ class _Collapsed:
             self.records[pos].append(record)
             if pos < self.n_procs:
                 self.view_of[pos].append(self.loc_views[pos][record[0]])
+                if pos in self.atoms:
+                    valuation, classes = self.atoms[pos](record[1]), self.class_ids
+                    self.classes[pos].append(classes.setdefault(valuation, len(classes)))
         return n
 
     def encode(self, state: GlobalState) -> tuple[int, ...]:
@@ -509,7 +525,7 @@ class _Collapsed:
         chans = state[1]
         intern = self.intern
         found: list[list] = [[] for _ in range(self.n_procs)]
-        for i, label, nxt in successors(self.cs, state):
+        for i, _, nxt in successors(self.cs, state):
             if i is None:
                 break  # the stutter: no process moves
             writes = [(i, intern(i, nxt[0][i]))]
@@ -519,12 +535,13 @@ class _Collapsed:
                     for pos, record, old in zip(self.chan_pos, nxt[1], chans)
                     if record is not old
                 ]
-            found[i].append((label, tuple(writes)))
+            found[i].append(tuple(writes))
         for i, view_of, moves in self.per_proc:
             moves.setdefault(view_of[key[i]](key), tuple(found[i]))
 
-    def expand(self, key: tuple[int, ...]) -> list[tuple[int | None, str, tuple[int, ...]]]:
-        """`successors` of the decoded key, with keys for states."""
+    def successor_keys(self, key: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """The keys of the process steps `successors` takes from the decoded
+        key, in its order; empty at a deadlock."""
         out = []
         for i, view_of, moves in self.per_proc:
             view = view_of[key[i]](key)
@@ -532,52 +549,56 @@ class _Collapsed:
             if found is None:
                 self._fill(key)
                 found = moves[view]
-            for label, writes in found:
+            for writes in found:
                 nxt = list(key)
                 for pos, n in writes:
                     nxt[pos] = n
-                out.append((i, label, tuple(nxt)))
-        if not out:
-            out.append((None, STUTTER_LABEL, key))
+                out.append(tuple(nxt))
         return out
 
-    def negation(self, prop: Prop, init: tuple[int, ...]) -> Callable[[tuple], bool]:
+    def negation(self, init: tuple[int, ...]) -> Callable[[tuple], bool]:
         """`not eval_prop(prop, state)` as a function of the state's key,
-        memoized on the ids of the processes the atoms of `prop` read."""
-        procs = sorted(_atom_procs(prop))
-        if not procs:
-            value = not eval_prop(prop, self.decode(init))
+        memoized on the class ids of the processes the atoms of `prop` read,
+        so `eval_prop` runs once per valuation of the atoms."""
+        prop, decode, memo = self.prop, self.decode, self.props
+        if not self.atoms:
+            value = not eval_prop(prop, decode(init))
             return lambda key: value
-        view = itemgetter(*procs)
-        memo = self.props
-        decode = self.decode
+        read = tuple(zip(self.atoms, map(self.classes.__getitem__, self.atoms)))
 
         def notp(key: tuple[int, ...]) -> bool:
-            atoms = view(key)
-            value = memo.get(atoms)
+            class_key = tuple([classes[key[i]] for i, classes in read])
+            value = memo.get(class_key)
             if value is None:
-                value = memo[atoms] = not eval_prop(prop, decode(key))
+                value = memo[class_key] = not eval_prop(prop, decode(key))
             return value
 
         return notp
 
     def path_to(self, parents: dict, key: tuple[int, ...]) -> tuple[Step, ...]:
+        """The steps from the initial key to `key`.  The search kept, for each
+        key, the first step of `successors` from its parent that reaches it,
+        so that is the step taken here."""
         names = [p.name for p in self.cs.instance.processes]
         steps: list[Step] = []
         while parents[key] is not None:  # a path never stutters
-            key, (proc, label, nxt) = parents[key]
-            steps.append(Step(proc, names[proc], label, self.decode(nxt)))
+            key, state = parents[key], self.decode(key)
+            steps.append(next(
+                Step(i, names[i], label, state)
+                for i, label, nxt in successors(self.cs, self.decode(key))
+                if nxt == state
+            ))
         return tuple(reversed(steps))
 
 
-def _atom_procs(p: Prop) -> set[int]:
-    """The processes whose locals a proposition's atoms read."""
+def _atoms(p: Prop) -> set[tuple[int, int]]:
+    """The (process, slot) pairs a proposition's atoms read."""
     if isinstance(p, PAtom):
-        return {p.proc}
+        return {(p.proc, p.slot)}
     if isinstance(p, PNot):
-        return _atom_procs(p.sub)
+        return _atoms(p.sub)
     if isinstance(p, PBin):
-        return _atom_procs(p.left) | _atom_procs(p.right)
+        return _atoms(p.left) | _atoms(p.right)
     return set()
 
 
@@ -589,28 +610,27 @@ def _search(space: _Collapsed, init, inside, target, lasso: bool, max_states: in
     """Shortest path from key `init`, through keys satisfying `inside`, to a
     `target` key.
 
-    `target(key, succs)` is tested when a key is expanded, with its
-    successors.  The path found is the counterexample; with `lasso`, one
-    stutter step at the target state closes it into a loop.  A MemoryError
-    leaves with the number of states found in its `states` attribute.
+    `target(key, succs)` is tested when a key is expanded, with its successor
+    keys.  The path found is the counterexample; with `lasso`, one stutter
+    step at the target state closes it into a loop.  A MemoryError leaves
+    with the number of states found in its `states` attribute.
     """
-    parents: dict[tuple, tuple[tuple, tuple] | None] = {init: None}
+    parents: dict[tuple, tuple | None] = {init: None}
     frontier = deque([init] if inside(init) else ())
-    expand = space.expand
+    successor_keys = space.successor_keys
     try:
         while frontier:
             key = frontier.popleft()
-            succs = expand(key)
+            succs = successor_keys(key)
             if target(key, succs):
                 state = space.decode(key)
                 loop = (Step(None, STUTTER_NAME, STUTTER_LABEL, state),) if lasso else None
                 cex = Counterexample(space.decode(init), space.path_to(parents, key), loop)
                 return Verdict(Result.FAIL, cex, len(parents))
-            for succ in succs:
-                nxt = succ[2]
+            for nxt in succs:
                 if nxt in parents or not inside(nxt):
                     continue
-                parents[nxt] = (key, succ)
+                parents[nxt] = key
                 if len(parents) > max_states:
                     raise StateLimitExceeded(max_states)
                 frontier.append(nxt)
@@ -635,17 +655,16 @@ def check_spec(
     with no processes is deadlocked in its initial state and stutters there.
     """
     pattern, prop = extract_pattern(spec.formula)
-    space = _Collapsed(cs)
+    space = _Collapsed(cs, prop)
     init = space.encode(initial_state(cs))
-    notp = space.negation(prop, init)
+    notp = space.negation(init)
     anywhere = lambda s: True
-    stuck = lambda succs: len(succs) == 1 and succs[0][0] is None
     if pattern == "G":
         inside, target = anywhere, lambda s, succs: notp(s)
     elif pattern == "F":
-        inside, target = notp, lambda s, succs: stuck(succs)
+        inside, target = notp, lambda s, succs: not succs
     else:
-        inside, target = anywhere, lambda s, succs: stuck(succs) and notp(s)
+        inside, target = anywhere, lambda s, succs: not succs and notp(s)
     return _search(space, init, inside, target, pattern != "G", max_states)
 
 

@@ -376,17 +376,91 @@ COLLAPSE_MODELS = {
 
 @pytest.mark.parametrize("name", COLLAPSE_MODELS)
 def test_collapsed_expansion_equals_successors(name):
-    """The search's moves, memoized per process on its local view, take the
-    same steps in the same order as `successors`, from every reachable state."""
+    """The search's moves, memoized per process on its local view, reach the
+    states of `successors`, in its order, from every reachable state; a
+    deadlock has no successor key, where `successors` stutters."""
     cs = build_model(COLLAPSE_MODELS[name]).woven
     _, graph = build_graph(cs)
-    space = checker._Collapsed(cs)
+    space = checker._Collapsed(cs, PBool(True))
     for state, succs in graph.items():
         key = space.encode(state)
         assert space.decode(key) == state
-        expanded = [(i, label, space.decode(nxt)) for i, label, nxt in space.expand(key)]
-        assert expanded == list(succs)
+        expanded = [space.decode(nxt) for nxt in space.successor_keys(key)]
+        assert expanded == [nxt for i, _, nxt in succs if i is not None]
     assert check_spec(cs, spec_of("G", PBool(True))).states_explored == len(graph)
+
+
+def _props_over_locals(cs):
+    """Propositions comparing locals with their initial values: one reading
+    two slots of one process, one reading a slot of every process that has
+    locals, and `true`, which reads none."""
+
+    def at_zero(proc, slot):
+        info = cs.automata[proc].locals[slot]
+        name = cs.instance.processes[proc].name
+        atom = PAtom(proc, slot, name, info.name, info.type)
+        zero = PBool(info.zero) if isinstance(info.zero, bool) else PEnum(info.zero)
+        return PBin("==", atom, zero)
+
+    props = [PBool(True)]
+    owners = [i for i, a in enumerate(cs.automata) if a.locals]
+    pairs = [i for i in owners if len(cs.automata[i].locals) >= 2]
+    if pairs:
+        props.append(PBin("->", at_zero(pairs[0], 0), PNot(at_zero(pairs[0], 1))))
+    if len(owners) >= 2:
+        several = at_zero(owners[0], 0)
+        for i in owners[1:]:
+            several = PBin("||", several, at_zero(i, len(cs.automata[i].locals) - 1))
+        props.append(several)
+    return props
+
+
+@pytest.mark.parametrize("name", COLLAPSE_MODELS)
+def test_proposition_memo_runs_once_per_atom_valuation(name, monkeypatch):
+    """The search's `notp` is memoized on the values the atoms read: on every
+    reachable state it is `not eval_prop`, and `eval_prop` runs at most once
+    per distinct valuation of the atoms."""
+    cs = build_model(COLLAPSE_MODELS[name]).woven
+    init, graph = build_graph(cs)
+    calls = []
+    monkeypatch.setattr(checker, "eval_prop", lambda p, s: calls.append(s) or eval_prop(p, s))
+    for prop in _props_over_locals(cs):
+        calls.clear()
+        space = checker._Collapsed(cs, prop)
+        notp = space.negation(space.encode(init))
+        atoms = sorted(checker._atoms(prop))
+        valuations = set()
+        for state in graph:
+            assert notp(space.encode(state)) == (not eval_prop(prop, state)), (prop, state)
+            valuations.add(tuple(state.procs[i].vars[slot] for i, slot in atoms))
+        assert len(calls) <= len(valuations)
+        assert len(atoms) >= 2 or prop == PBool(True)
+
+
+def test_shared_successor_step_is_the_first_in_successor_order():
+    """Both branches of the choice reach one state; the counterexample passes
+    through it by the first branch, as `successors` lists them."""
+    source = (
+        "proc P() {\n"
+        "  var x bool\n"
+        "  choice { x = true }, { x = true }\n"
+        "  var y bool = true\n"
+        "}\n"
+        "init { p : P() }\n"
+    )
+    built, verdict = checked(source, "G (!p.y)")
+    cs, cex = built.woven, verdict.counterexample
+    assert verdict.result is Result.FAIL
+    before, shared = cex.prefix[0].state, cex.prefix[1].state
+    branches = [label for _, label, nxt in successors(cs, before) if nxt == shared]
+    assert len(branches) == 2
+    assert cex.prefix[1].label == branches[0]
+    assert [step.label for step in cex.prefix] == [
+        "var x @2:3 [var]",
+        "x = true @3:12 [assign]",
+        "var y = true @4:3 [var]",
+    ]
+    replay(cs, cex)
 
 
 @pytest.mark.parametrize("formula", ["G (false)", "F (false)", "F (G (false))", "G (F (false))"])

@@ -155,9 +155,9 @@ def run_capped(*args):
 
 @needs_proc_status
 def test_out_of_memory_in_the_search_is_a_limit(tmp_path):
-    """The 32 MB are far below the 131,801 states of N=3 with all faults."""
-    model = tmp_path / "n3.sandal"
-    model.write_text(with_spec(family_member(3, "allfaults"), "G (true)"))
+    """The 32 MB are far below the 510,956 states of N=5 with `@shutdown`."""
+    model = tmp_path / "n5.sandal"
+    model.write_text(with_spec(family_member(5, "shutdown"), "G (true)"))
     proc = run_capped("check", "--property", "2", str(model))
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
@@ -167,7 +167,7 @@ def test_out_of_memory_in_the_search_is_a_limit(tmp_path):
         proc.stderr,
     )
     assert line is not None, proc.stderr
-    assert 0 < int(line[1]) < 131_801
+    assert 0 < int(line[1]) < 510_956
     assert proc.stdout == "property 2: G (true)\n"
 
 
