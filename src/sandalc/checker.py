@@ -24,26 +24,27 @@ is no fairness setting.
 
 The public state API uses named tuples (a GlobalState of ProcStates and
 channel records).  Guards, action values and propositions share their node
-set (see sema.py), so one compiler turns all three into trees of closures.
-A model's transitions, and the channels each location reads, are computed
-on the first search and kept on its CompiledSystem; a proposition's closure
-is kept on its root node.  A transition applies its actions as SMV's next()
-does: every value and payload reads the pre-state, a later write to the same
-slot wins, and a later write to a channel replaces its whole record.
+set (see sema.py), so one recursive evaluator, `_eval`, computes all three.
+A model's transitions per source location, and the channels each location
+reads, are computed on the first search and kept on its CompiledSystem.  A
+transition applies its actions as SMV's next() does: every value and payload
+reads the pre-state, a later write to the same slot wins, and a later write
+to a channel replaces its whole record.
 
 The search itself stores collapsed states, as SPIN's COLLAPSE mode does: a
 key is a flat tuple of small ints, one id per process record and one per
 channel record, interned in tables that live as long as the search.  A
 process's enabled moves depend only on its local view: its own record and
 the channels its location reads.  So each process has a move table keyed by
-its view, holding only the ids each move writes; a miss decodes the state
-and calls `successors` once, which fills every process's view at that
-state.  A proposition reads only the slots of its atoms, so every record of
-a process it reads gets a class id, one per valuation of those slots, and
-the proposition is memoized on the class ids: `eval_prop` runs once per
-valuation of its atoms.  The search keeps only each key's parent key.  A
-counterexample decodes the path and takes, at each step, the first step of
-`successors` that reaches the next state, which is the one the search kept.
+its view, holding only the ids each move writes; a miss computes the moves
+of that one process from its record and the channel records, and interns
+the records they write.  A proposition reads only the slots of its atoms,
+so every record of a process it reads gets a class id, one per valuation of
+those slots, and the proposition is memoized on the class ids: `eval_prop`
+runs once per valuation of its atoms.  The search keeps only each key's
+parent key.  A counterexample decodes the path and takes, at each step, the
+first step of `successors` that reaches the next state, which is the one
+the search kept.
 
 Counterexamples are replayable: applying the recorded labels from the initial
 state reproduces the recorded states exactly.
@@ -123,134 +124,112 @@ def initial_state(cs: CompiledSystem) -> GlobalState:
 
 
 # ---------------------------------------------------------------------------
-# Compilation of expressions and transitions into closures
-#
-# Every closure takes (vars, chans, procs): the locals of the process taking
-# the step (empty for a proposition), the channel records and the process
-# states, all of the pre-state.
-
-Fn = Callable[[tuple, tuple, tuple], Value]
-
-_new = tuple.__new__  # builds a named tuple without its Python-level __new__
-_IDLE = RvState()
-
-_BINARY: dict[str, Callable[[Fn, Fn], Fn]] = {
-    "&&": lambda l, r: lambda v, c, p: l(v, c, p) and r(v, c, p),
-    "||": lambda l, r: lambda v, c, p: l(v, c, p) or r(v, c, p),
-    "->": lambda l, r: lambda v, c, p: (not l(v, c, p)) or r(v, c, p),
-    "==": lambda l, r: lambda v, c, p: l(v, c, p) == r(v, c, p),
-    "!=": lambda l, r: lambda v, c, p: l(v, c, p) != r(v, c, p),
-}
+# Evaluation of expressions and transitions
 
 
-def _literal(e) -> Value | None:
-    """The value of a literal node, or None for any other node."""
-    return e.value if type(e) is PBool else e.ctor if type(e) is PEnum else None
-
-
-def _compile(e) -> Fn:
-    """A closure computing a guard or value (an ir.IrExpr) or a Prop, whose
-    atoms read the locals of any process.  `&&`, `||` and `->` skip their
-    right operand when the left decides them."""
+def _eval(e, vars: tuple, chans: tuple, procs: tuple) -> Value:
+    """The value of a guard or value (an ir.IrExpr) or a Prop, from the locals
+    of the process taking the step (empty for a proposition), the channel
+    records and the process records (empty for a guard or value), all of the
+    pre-state.  `&&`, `||` and `->` skip their right operand when the left
+    decides them."""
     t = type(e)
     if t is PBin:
-        return _BINARY[e.op](_compile(e.left), _compile(e.right))
-    if t is PNot:
-        sub = _compile(e.sub)
-        return lambda v, c, p: not sub(v, c, p)
+        op, left = e.op, _eval(e.left, vars, chans, procs)
+        if op == "&&":
+            return left and _eval(e.right, vars, chans, procs)
+        if op == "||":
+            return left or _eval(e.right, vars, chans, procs)
+        if op == "->":
+            return (not left) or _eval(e.right, vars, chans, procs)
+        right = _eval(e.right, vars, chans, procs)
+        return left == right if op == "==" else left != right
     if t is PAtom:
-        proc, slot = e.proc, e.slot
-        return lambda v, c, p: p[proc][1][slot]
+        return procs[e.proc][1][e.slot]
     if t is ir.EVar:
-        slot = e.slot
-        return lambda v, c, p: v[slot]
-    if t is PBool or t is PEnum:
-        value = _literal(e)
-        return lambda v, c, p: value
+        return vars[e.slot]
+    if t is PNot:
+        return not _eval(e.sub, vars, chans, procs)
+    if t is PBool:
+        return e.value
+    if t is PEnum:
+        return e.ctor
     if t is PTemporal:
         raise UnsupportedFormula("temporal operator in propositional position")
-    chan = e.chan
+    chan = chans[e.chan]
     if t is ir.EChanReady:
-        return lambda v, c, p: c[chan][0]
+        return chan[0]
     if t is ir.EChanReceived:
-        return lambda v, c, p: c[chan][1]
+        return chan[1]
     if t is ir.EChanNotFull:
-        capacity = e.capacity
-        return lambda v, c, p: len(c[chan][0]) < capacity
+        return len(chan[0]) < e.capacity
     if t is ir.EChanNotEmpty:
-        return lambda v, c, p: len(c[chan][0]) > 0
-    index = e.index
+        return len(chan[0]) > 0
     if t is ir.EChanBufItem:
-        return lambda v, c, p: c[chan][2][index]
+        return chan[2][e.index]
     assert t is ir.EChanHeadItem
-    return lambda v, c, p: c[chan][0][0][index]
+    return chan[0][0][e.index]
 
 
-def _compile_payload(values: tuple) -> Fn:
-    """A closure computing a payload tuple, which is one constant tuple when
-    every value is a literal."""
-    literals = tuple(map(_literal, values))
-    if None not in literals:
-        return lambda v, c, p: literals
-    fns = tuple(map(_compile, values))
-    return lambda v, c, p: tuple([f(v, c, p) for f in fns])
+def _apply(t: Transition, pre: tuple, chans: tuple) -> tuple[tuple, tuple]:
+    """The locals and channel records after transition `t` from locals `pre`
+    and records `chans`.  Every value and payload reads the pre-state, a later
+    write to the same slot wins, and a channel write replaces the whole
+    record; a record no action writes is the pre-state's object."""
+    vars_, post = list(pre), list(chans)
+    for a in t.actions:
+        kind = type(a)
+        if kind is ir.ASetVar:
+            vars_[a.slot] = _eval(a.value, pre, chans, ())
+            continue
+        c = a.chan
+        if kind is ir.ABeginSend:
+            post[c] = RvState(True, False, tuple(_eval(v, pre, chans, ()) for v in a.payload))
+        elif kind is ir.AFinishSend:
+            post[c] = RvState()
+        elif kind is ir.AMarkReceived:
+            post[c] = RvState(chans[c].ready, True, chans[c].buf)
+        elif kind is ir.APush:
+            payload = tuple(_eval(v, pre, chans, ()) for v in a.payload)
+            post[c] = BufState(chans[c].queue + (payload,))
+        else:
+            assert kind is ir.APop
+            post[c] = BufState(chans[c].queue[1:])
+    return tuple(vars_), tuple(post)
 
 
-def _compile_chan_write(a: ir.Action) -> Fn:
-    """A closure computing the channel's whole record after action `a`."""
-    chan = a.chan
-    if isinstance(a, ir.ABeginSend):
-        payload = _compile_payload(a.payload)
-        return lambda v, c, p: _new(RvState, (True, False, payload(v, c, p)))
-    if isinstance(a, ir.AFinishSend):
-        return lambda v, c, p: _IDLE
-    if isinstance(a, ir.AMarkReceived):
-        return lambda v, c, p: _new(RvState, (c[chan][0], True, c[chan][2]))
-    if isinstance(a, ir.APush):
-        payload = _compile_payload(a.payload)
-        return lambda v, c, p: _new(BufState, (c[chan][0] + (payload(v, c, p),),))
-    assert isinstance(a, ir.APop)
-    return lambda v, c, p: _new(BufState, (c[chan][0][1:],))
+def _moves(leaving: tuple, proc: ProcState, chans: tuple) -> list[tuple[Transition, tuple, tuple]]:
+    """The enabled transitions of the process with record `proc`, in
+    declaration order, each with its post-locals and post-channels.
+    `leaving` holds the process's transitions per source location."""
+    loc, pre = proc
+    return [(t, *_apply(t, pre, chans)) for t in leaving[loc] if _eval(t.guard, pre, chans, ())]
 
 
-# One compiled transition: (transition, guard or None for true, slot writes,
-# channel writes, destination).
-_Step = tuple[Transition, Fn | None, tuple[tuple[int, Fn], ...], tuple[tuple[int, Fn], ...], int]
-
-
-def _compile_automaton(automaton: ProcessAutomaton) -> tuple[tuple[_Step, ...], ...]:
-    """The compiled transitions leaving each location, in declaration order."""
-    steps: list[list[_Step]] = [[] for _ in range(automaton.n_locations)]
+def _leaving(automaton: ProcessAutomaton) -> tuple[tuple[Transition, ...], ...]:
+    """The transitions leaving each location, in declaration order."""
+    leaving: list[list[Transition]] = [[] for _ in range(automaton.n_locations)]
     for t in automaton.transitions:
-        sets = tuple(
-            (a.slot, _compile(a.value)) for a in t.actions if isinstance(a, ir.ASetVar)
-        )
-        writes = tuple(
-            (a.chan, _compile_chan_write(a)) for a in t.actions if not isinstance(a, ir.ASetVar)
-        )
-        guard = None if t.guard == ir.TRUE else _compile(t.guard)
-        steps[t.src].append((t, guard, sets, writes, t.dst))
-    return tuple(map(tuple, steps))
+        leaving[t.src].append(t)
+    return tuple(map(tuple, leaving))
 
 
-def _require_acyclic(cs: CompiledSystem) -> None:
-    """Raise ValueError if a process automaton has a cycle.
+def _require_acyclic(cs: CompiledSystem, leaving: tuple) -> None:
+    """Raise ValueError if a process automaton has a cycle; `leaving` holds
+    each automaton's transitions per source location.
 
     Deciding liveness by deadlock reachability is sound only when the stutter
     self-loops are the sole cycles of the product, which holds when every
     automaton is acyclic.  A depth-first search from each location finds a
     cycle as an edge back to a location on the current path.
     """
-    for automaton in cs.automata:
-        leaving: list[list[Transition]] = [[] for _ in range(automaton.n_locations)]
-        for t in automaton.transitions:
-            leaving[t.src].append(t)
+    for automaton, out in zip(cs.automata, leaving):
         mark = [0] * automaton.n_locations  # 1: on the current path, 2: done
         for root in range(automaton.n_locations):
             if mark[root]:
                 continue
             mark[root] = 1
-            path, todo = [root], [iter(leaving[root])]
+            path, todo = [root], [iter(out[root])]
             while todo:
                 t = next(todo[-1], None)
                 if t is None:
@@ -266,18 +245,19 @@ def _require_acyclic(cs: CompiledSystem) -> None:
                 elif not mark[t.dst]:
                     mark[t.dst] = 1
                     path.append(t.dst)
-                    todo.append(iter(leaving[t.dst]))
+                    todo.append(iter(out[t.dst]))
 
 
-def _chans_of(e) -> set[int]:
-    """The channels a guard or value reads."""
-    t = type(e)
-    if t is PBin:
-        return _chans_of(e.left) | _chans_of(e.right)
-    if t is PNot:
-        return _chans_of(e.sub)
-    chan = getattr(e, "chan", None)
-    return set() if chan is None else {chan}
+def _nodes(e):
+    """A guard, value or proposition and every node under it."""
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        yield e
+        if type(e) is PBin:
+            todo += (e.right, e.left)
+        elif type(e) is PNot or type(e) is PTemporal:
+            todo.append(e.sub)
 
 
 def _read_sets(automaton: ProcessAutomaton) -> tuple[tuple[int, ...], ...]:
@@ -285,41 +265,39 @@ def _read_sets(automaton: ProcessAutomaton) -> tuple[tuple[int, ...], ...]:
     in its guard, a value, a payload or a channel action."""
     reads: list[set[int]] = [set() for _ in range(automaton.n_locations)]
     for t in automaton.transitions:
-        chans = reads[t.src]
-        chans |= _chans_of(t.guard)
+        exprs = [t.guard]
         for a in t.actions:
             if isinstance(a, ir.ASetVar):
-                chans |= _chans_of(a.value)
+                exprs.append(a.value)
             else:
-                chans.add(a.chan)
-                for value in getattr(a, "payload", ()):
-                    chans |= _chans_of(value)
+                reads[t.src].add(a.chan)
+                exprs += getattr(a, "payload", ())
+        reads[t.src].update(n.chan for e in exprs for n in _nodes(e) if hasattr(n, "chan"))
     return tuple(tuple(sorted(r)) for r in reads)
 
 
 class _Compiled(NamedTuple):
-    # Per process, per location: the compiled transitions leaving it.
-    steps: tuple[tuple[tuple[_Step, ...], ...], ...]
+    # Per process, per location: the transitions leaving it.
+    leaving: tuple[tuple[tuple[Transition, ...], ...], ...]
     # Per process, per location: the getter of its view from a collapsed key,
     # i.e. its own id and the ids of the channels the location reads.
     views: tuple[tuple[Callable[[tuple], object], ...], ...]
 
 
 def _compiled(cs: CompiledSystem) -> _Compiled:
-    """Each automaton's compiled transitions and view getters, built on first
-    use and kept on `cs`, so commands that never search never build them.
-    Building them first checks that every automaton is acyclic."""
+    """Each automaton's transitions per location and view getters, built on
+    first use and kept on `cs`, so commands that never search never build
+    them.  Building them first checks that every automaton is acyclic."""
     table = cs.__dict__.get("_compiled")
     if table is None:
-        _require_acyclic(cs)
+        leaving = tuple(map(_leaving, cs.automata))
+        _require_acyclic(cs, leaving)
         n_procs = len(cs.automata)
         views = tuple(
             tuple(itemgetter(i, *(n_procs + c for c in r)) for r in _read_sets(automaton))
             for i, automaton in enumerate(cs.automata)
         )
-        table = cs.__dict__["_compiled"] = _Compiled(
-            tuple(map(_compile_automaton, cs.automata)), views
-        )
+        table = cs.__dict__["_compiled"] = _Compiled(leaving, views)
     return table
 
 
@@ -336,26 +314,10 @@ def successor_transitions(
     """Enabled process transitions in (process index, declaration) order."""
     out = []
     procs, chans = state
-    for i, (steps, proc) in enumerate(zip(_compiled(cs).steps, procs)):
-        loc, pre = proc
-        for t, guard, sets, writes, dst in steps[loc]:
-            if guard is not None and not guard(pre, chans, procs):
-                continue
-            vars_ = pre
-            if sets:
-                vars_ = list(pre)
-                for slot, value in sets:
-                    vars_[slot] = value(pre, chans, procs)
-                vars_ = tuple(vars_)
-            post = chans
-            if writes:
-                post = list(chans)
-                for chan, write in writes:
-                    post[chan] = write(pre, chans, procs)
-                post = tuple(post)
-            new_procs = list(procs)
-            new_procs[i] = _new(ProcState, (dst, vars_))
-            out.append((i, t, _new(GlobalState, (tuple(new_procs), post))))
+    for i, (leaving, proc) in enumerate(zip(_compiled(cs).leaving, procs)):
+        for t, vars_, post in _moves(leaving, proc, chans):
+            moved = procs[:i] + (ProcState(t.dst, vars_),) + procs[i + 1 :]
+            out.append((i, t, GlobalState(moved, post)))
     return out
 
 
@@ -380,27 +342,13 @@ def successors(cs: CompiledSystem, state: GlobalState) -> list[Succ]:
 def eval_prop(p: Prop, state: GlobalState) -> Value:
     """Evaluate a propositional formula; atoms read process-local variables.
 
-    The formula is compiled on its first evaluation and kept on its root node.
     A variable of a shutdown process keeps (and reports) its last value.
     """
-    fn = p.__dict__.get("_compiled")
-    if fn is None:
-        fn = p.__dict__["_compiled"] = _compile(p)
-    return fn((), state[1], state[0])
+    return _eval(p, (), state[1], state[0])
 
 
 # ---------------------------------------------------------------------------
 # Spec patterns
-
-
-def _has_temporal(p: Prop) -> bool:
-    if isinstance(p, PTemporal):
-        return True
-    if isinstance(p, PNot):
-        return _has_temporal(p.sub)
-    if isinstance(p, PBin):
-        return _has_temporal(p.left) or _has_temporal(p.right)
-    return False
 
 
 def extract_pattern(formula: Prop) -> tuple[str, Prop]:
@@ -411,7 +359,7 @@ def extract_pattern(formula: Prop) -> tuple[str, Prop]:
         if not ops or ops[-1] != f.op:  # collapse GG -> G, FF -> F
             ops.append(f.op)
         f = f.sub
-    if _has_temporal(f):
+    if any(type(n) is PTemporal for n in _nodes(f)):
         raise UnsupportedFormula("temporal operators nested inside the formula body")
     key = "".join(ops)
     if key in ("G", "F", "FG", "GF"):
@@ -471,7 +419,7 @@ class _Collapsed:
         self.cs = cs
         self.prop = prop
         self.n_procs = n_procs = len(cs.automata)
-        self.loc_views = _compiled(cs).views
+        self.leaving, self.loc_views = _compiled(cs)
         width = n_procs + len(cs.instance.channels)
         self.chan_pos = range(n_procs, width)  # the key positions of channels
         # Per key position: record -> id, and id -> record.
@@ -515,29 +463,26 @@ class _Collapsed:
 
     def decode(self, key: tuple[int, ...]) -> GlobalState:
         records = tuple(map(list.__getitem__, self.records, key))
-        return _new(GlobalState, (records[: self.n_procs], records[self.n_procs :]))
+        return GlobalState(records[: self.n_procs], records[self.n_procs :])
 
-    def _fill(self, key: tuple[int, ...]) -> None:
-        """Record every process's moves at `key` from one `successors` call.
-        A component a step changed is a record that is not the pre-state's;
-        one that is equal but new re-interns to the same id."""
-        state = self.decode(key)
-        chans = state[1]
-        intern = self.intern
-        found: list[list] = [[] for _ in range(self.n_procs)]
-        for i, _, nxt in successors(self.cs, state):
-            if i is None:
-                break  # the stutter: no process moves
-            writes = [(i, intern(i, nxt[0][i]))]
-            if nxt[1] is not chans:
-                writes += [
-                    (pos, intern(pos, record))
-                    for pos, record, old in zip(self.chan_pos, nxt[1], chans)
-                    if record is not old
-                ]
-            found[i].append(tuple(writes))
-        for i, view_of, moves in self.per_proc:
-            moves.setdefault(view_of[key[i]](key), tuple(found[i]))
+    def _moves_of(self, i: int, key: tuple[int, ...]) -> tuple:
+        """Process i's moves at `key`, each the ((key position, id), ...) it
+        writes: its own record, then every channel whose record the move
+        replaced.  A replaced record equal to the old one re-interns to the
+        same id."""
+        n, intern = self.n_procs, self.intern
+        proc = self.records[i][key[i]]
+        chans = tuple(map(list.__getitem__, self.records[n:], key[n:]))
+        found = []
+        for t, vars_, post in _moves(self.leaving[i], proc, chans):
+            writes = [(i, intern(i, ProcState(t.dst, vars_)))]
+            writes += [
+                (pos, intern(pos, new))
+                for pos, new, old in zip(self.chan_pos, post, chans)
+                if new is not old
+            ]
+            found.append(tuple(writes))
+        return tuple(found)
 
     def successor_keys(self, key: tuple[int, ...]) -> list[tuple[int, ...]]:
         """The keys of the process steps `successors` takes from the decoded
@@ -547,8 +492,7 @@ class _Collapsed:
             view = view_of[key[i]](key)
             found = moves.get(view)
             if found is None:
-                self._fill(key)
-                found = moves[view]
+                found = moves[view] = self._moves_of(i, key)
             for writes in found:
                 nxt = list(key)
                 for pos, n in writes:
@@ -593,13 +537,7 @@ class _Collapsed:
 
 def _atoms(p: Prop) -> set[tuple[int, int]]:
     """The (process, slot) pairs a proposition's atoms read."""
-    if isinstance(p, PAtom):
-        return {(p.proc, p.slot)}
-    if isinstance(p, PNot):
-        return _atoms(p.sub)
-    if isinstance(p, PBin):
-        return _atoms(p.left) | _atoms(p.right)
-    return set()
+    return {(n.proc, n.slot) for n in _nodes(p) if type(n) is PAtom}
 
 
 # ---------------------------------------------------------------------------

@@ -463,6 +463,23 @@ def test_shared_successor_step_is_the_first_in_successor_order():
     replay(cs, cex)
 
 
+def test_a_later_write_to_the_same_slot_wins():
+    """`recv(c, x, x)` of `(true, false)` writes x twice, and
+    `y = nonblock_recv(d, y)` of `false` writes y with the payload, then with
+    the result: every run ends with the later writes, x false and y true, in
+    `successors` and in the search."""
+    built = build_model((GOLDEN / "writes.sandal").read_text())
+    cs = built.woven
+    r = next(i for i, p in enumerate(cs.instance.processes) if p.name == "r")
+    _, graph = build_graph(cs)
+    ends = [s for s, succs in graph.items() if succs[0][0] is None]
+    assert ends and all(s.procs[r].vars == (False, True) for s in ends)
+    ends_well, y_stays_false = (check_spec(cs, spec) for spec in built.system.ltl_specs)
+    assert ends_well.passed
+    assert not y_stays_false.passed
+    assert y_stays_false.counterexample.prefix[-1].state.procs[r].vars == (False, True)
+
+
 @pytest.mark.parametrize("formula", ["G (false)", "F (false)", "F (G (false))", "G (F (false))"])
 @pytest.mark.parametrize(
     "source", ["init {}", "init { c: channel { bool } }"], ids=["no_channel", "one_channel"]

@@ -92,9 +92,9 @@ def test_outputs_match_pinned_digests(name):
 
 
 def test_no_woven_edge_has_two_actions_on_one_channel():
-    """The checker's compiled transitions replace a whole channel record per
-    action, while the emitted TRANS sets one field per `next()`; the two take
-    the same step as long as no edge acts twice on one channel."""
+    """The checker's `_apply` replaces a whole channel record per action,
+    while the emitted TRANS sets one field per `next()`; the two take the
+    same step as long as no edge acts twice on one channel."""
     edges = 0
     for name, source in SOURCES.items():
         for automaton in build_model(source).woven.automata:
@@ -121,7 +121,9 @@ def test_every_channel_an_edge_uses_is_read_at_its_source():
     """The search memoizes a process's moves on its own record and the
     channels its location reads.  That is sound only if no woven guard,
     value or payload reads another process (a PAtom), and if every channel
-    an edge uses is in its source location's read set."""
+    an edge uses is in its source location's read set.  `_moves_of`, which
+    fills that memo, and `successors` rely on the first condition too: both
+    evaluate guards, values and payloads with no process records at all."""
     edges = 0
     for name, source in SOURCES.items():
         cs = build_model(source).woven
