@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Pos:
+class Pos(NamedTuple):
+    """A 1-based line and column in the source text."""
+
     line: int
     col: int
 

@@ -8,13 +8,24 @@ synthetic semicolons alike as statement separators, but silently skips the
 synthetic ones inside comma-separated lists.
 
 Comments run from "//" to end of line and are discarded.
+
+tokenize makes one anchored match of _TOKEN per token or newline, at the
+offset where the previous match ended.  The match first skips the blanks and
+at most one comment before the token: a comment runs to the newline, which is
+a match of its own, so no more than one can come between two tokens.  The
+skip, `[ \t\r]*(?://[^\n]*)?`, has no nested quantifier, so it can be read
+only one way and never backtracks; `(?:[ \t\r]+|//[^\n]*)*` would try
+exponentially many ways to split a long run of blanks before failing.  The
+last alternatives match the end of input and any illegal character, so every
+match succeeds and a line of blanks costs one pass.  Possessive and atomic
+groups would say the same, but they need Python 3.11.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import LexError, Pos
 
@@ -47,13 +58,19 @@ PUNCTUATIONS = (
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token: its kind, its text and where it starts (1-based line and
+    column, counted in characters).
+
+    A token is a tuple, so equality compares all five fields, `synthetic`
+    included: a newline-inserted ";" does not equal a written one.
+    """
+
     kind: TokenKind
     text: str
     line: int
     col: int
-    synthetic: bool = field(default=False, compare=False)
+    synthetic: bool = False
 
     @property
     def pos(self) -> Pos:
@@ -69,30 +86,22 @@ class Token:
         return repr(self.text)
 
 
-# A newline after one of these ends a statement (Go-style semicolon insertion).
+# A newline after one of these ends a statement (Go-style semicolon insertion):
+# a token of a kind in _ASI_KINDS, or a keyword or punctuation whose text is in
+# _ASI_TEXTS (no identifier, number or marker has such a text).
 _ASI_KINDS = (TokenKind.IDENT, TokenKind.NUMBER, TokenKind.FAULT_MARKER)
-_ASI_KEYWORDS = frozenset({"true", "false", "bool"})
-_ASI_PUNCTS = frozenset({")", "]", "}"})
+_ASI_TEXTS = frozenset({"true", "false", "bool", ")", "]", "}"})
 
-
-def _ends_statement(tok: Token) -> bool:
-    if tok.kind in _ASI_KINDS:
-        return True
-    if tok.kind is TokenKind.KEYWORD:
-        return tok.text in _ASI_KEYWORDS
-    if tok.kind is TokenKind.PUNCT:
-        return tok.text in _ASI_PUNCTS
-    return False
-
-
-# One alternative per token class, tried in this order; a group named after a
-# TokenKind makes a token of that kind.  An identifier must start with a letter
-# or "_": ASCII digits make a number first, and tokenize rejects any other digit
-# that \w admits, such as '²', which int() does not take.
+# Blanks and a comment, then one alternative per token class, tried in this
+# order (see the module docstring).  A group named after a TokenKind makes a
+# token of that kind.  An identifier must start with a letter or "_": ASCII
+# digits make a number first, and tokenize rejects any other digit that \w
+# admits, such as '²', which int() does not take.
 _TOKEN = re.compile(
-    r"(?P<newline>\n)|(?P<space>[ \t\r]+|//[^\n]*)"
-    r"|(?P<NUMBER>[0-9]+)|(?P<IDENT>\w+)|(?P<FAULT_MARKER>@\w*)"
+    r"[ \t\r]*(?://[^\n]*)?"
+    r"(?:(?P<newline>\n)|(?P<NUMBER>[0-9]+)|(?P<IDENT>\w+)|(?P<FAULT_MARKER>@\w*)"
     "|(?P<PUNCT>" + "|".join(map(re.escape, PUNCTUATIONS)) + ")"
+    r"|(?P<EOF>\Z)|(?P<illegal>.))"
 )
 _KINDS = TokenKind.__members__
 
@@ -104,46 +113,42 @@ def tokenize(source: str) -> list[Token]:
     fault marker.
     """
     tokens: list[Token] = []
+    append = tokens.append
+    match = _TOKEN.match
     line = 1
     line_start = 0  # offset of the current line's first character
-
-    def maybe_insert_semicolon(offset: int) -> None:
-        if tokens and not tokens[-1].synthetic and _ends_statement(tokens[-1]):
-            col = offset - line_start + 1
-            tokens.append(Token(TokenKind.PUNCT, ";", line, col, synthetic=True))
-
-    def illegal(offset: int) -> LexError:
-        pos = Pos(line, offset - line_start + 1)
-        return LexError(f"illegal character {source[offset]!r}", pos)
-
     end = 0
-    for m in _TOKEN.finditer(source):
-        start = m.start()
-        if start != end:
-            raise illegal(end)
-        end = m.end()
+    ends_statement = False  # whether a newline here would insert ";"
+    while True:
+        m = match(source, end)
         group = m.lastgroup
+        end = m.end()
+        text = m[group]
+        col = end - len(text) - line_start + 1
         if group == "newline":
-            maybe_insert_semicolon(start)
+            if ends_statement:
+                append(Token(TokenKind.PUNCT, ";", line, col, True))
+                ends_statement = False
             line += 1
             line_start = end
-        elif group != "space":
-            text = m.group()
-            col = start - line_start + 1
-            kind = _KINDS[group]
-            if kind is TokenKind.IDENT:
-                if not (text[0].isalpha() or text[0] == "_"):
-                    raise illegal(start)
-                if text in KEYWORDS:
-                    kind = TokenKind.KEYWORD
-            elif kind is TokenKind.FAULT_MARKER and text[1:] not in FAULT_MARKERS:
-                raise LexError(
-                    f"unknown fault marker '{text}' (expected @shutdown or @drop)",
-                    Pos(line, col),
-                )
-            tokens.append(Token(kind, text, line, col))
-    if end != len(source):
-        raise illegal(end)
-    maybe_insert_semicolon(end)
-    tokens.append(Token(TokenKind.EOF, "", line, end - line_start + 1))
-    return tokens
+            continue
+        if group == "EOF":
+            if ends_statement:
+                append(Token(TokenKind.PUNCT, ";", line, col, True))
+            append(Token(TokenKind.EOF, "", line, col))
+            return tokens
+        if group == "illegal":
+            raise LexError(f"illegal character {text!r}", Pos(line, col))
+        kind = _KINDS[group]
+        if kind is TokenKind.IDENT:
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise LexError(f"illegal character {text[0]!r}", Pos(line, col))
+            if text in KEYWORDS:
+                kind = TokenKind.KEYWORD
+        elif kind is TokenKind.FAULT_MARKER and text[1:] not in FAULT_MARKERS:
+            raise LexError(
+                f"unknown fault marker '{text}' (expected @shutdown or @drop)",
+                Pos(line, col),
+            )
+        append(Token(kind, text, line, col))
+        ends_statement = kind in _ASI_KINDS or text in _ASI_TEXTS

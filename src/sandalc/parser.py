@@ -26,6 +26,7 @@ from . import syntax as ast
 
 _MAX_NESTING = 64
 _MAX_EXPR_DEPTH = 256
+_KEYWORD_OR_PUNCT = (TokenKind.KEYWORD, TokenKind.PUNCT)
 
 
 def _too_deep(expr: ast.Expr) -> bool:
@@ -61,17 +62,18 @@ class _Parser:
         return self.tokens[self.i]
 
     def advance(self) -> Token:
-        tok = self.cur
+        tok = self.tokens[self.i]
         if tok.kind is not TokenKind.EOF:
             self.i += 1
         return tok
 
     def at(self, text: str) -> bool:
-        tok = self.cur
-        return tok.kind in (TokenKind.KEYWORD, TokenKind.PUNCT) and tok.text == text
+        """Whether the current token is a keyword or punctuation spelled `text`."""
+        tok = self.tokens[self.i]
+        return tok.text == text and tok.kind in _KEYWORD_OR_PUNCT
 
     def at_ident(self) -> bool:
-        return self.cur.kind is TokenKind.IDENT
+        return self.tokens[self.i].kind is TokenKind.IDENT
 
     def expect(self, text: str, context: str) -> Token:
         if not self.at(text):
@@ -430,7 +432,7 @@ class _Parser:
             return self.parse_unary()
         ops = ast.BINARY_LEVELS[level]
         left = self.parse_binary(level + 1)
-        while self.cur.text in ops:
+        while self.tokens[self.i].text in ops:
             op = self.advance()
             if op.text == "->":
                 self.enter(op)

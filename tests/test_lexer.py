@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sandalc.corpus import MODEL_NAMES, corpus_source
 from sandalc.errors import LexError, Pos
-from sandalc.lexer import Token, TokenKind, tokenize
+from sandalc.lexer import KEYWORDS, PUNCTUATIONS, Token, TokenKind, tokenize
 
 
 def kinds_and_texts(tokens):
@@ -57,6 +59,44 @@ def test_synthetic_tokens_sit_at_the_newline_or_end_of_input():
     assert (semicolon.text, semicolon.synthetic, semicolon.pos) == (";", True, Pos(1, 7))
     eof = tokenize("x // c")[-1]
     assert (eof.kind, eof.pos) == (TokenKind.EOF, Pos(1, 7))
+
+
+def rows(tokens):
+    return [(t.kind, t.text, t.line, t.col, t.synthetic) for t in tokens]
+
+
+def test_crlf_line_endings():
+    """A carriage return is a blank: columns restart after the line feed, and
+    the synthetic ";" sits on the line feed, not on the return before it."""
+    K, I, P = TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.PUNCT
+    assert rows(tokenize("var x bool\r\nx = true\r\n")) == [
+        (K, "var", 1, 1, False), (I, "x", 1, 5, False), (K, "bool", 1, 7, False),
+        (P, ";", 1, 12, True),
+        (I, "x", 2, 1, False), (P, "=", 2, 3, False), (K, "true", 2, 5, False),
+        (P, ";", 2, 10, True),
+        (TokenKind.EOF, "", 3, 1, False),
+    ]
+
+
+def test_trailing_comment_at_end_of_input():
+    assert rows(tokenize("a = b // note")[2:]) == [
+        (TokenKind.IDENT, "b", 1, 5, False),
+        (TokenKind.PUNCT, ";", 1, 14, True),
+        (TokenKind.EOF, "", 1, 14, False),
+    ]
+
+
+def test_a_tab_is_one_column():
+    assert [(t.text, t.col) for t in tokenize("\tx\t= y")] == [
+        ("x", 2), ("=", 4), ("y", 6), (";", 7), ("", 7),
+    ]
+
+
+def test_long_blank_run_before_an_illegal_character():
+    """A scan that backtracks over the blanks, or rescans them, would not finish."""
+    with pytest.raises(LexError, match="illegal character '\\$'") as err:
+        tokenize("a" + " " * 100_000 + "$")
+    assert err.value.pos == Pos(1, 100_002)
 
 
 def test_illegal_character_is_positioned():
@@ -118,3 +158,51 @@ def test_token_concatenation_is_lexically_equivalent(name):
     flattened = " ".join(t.text for t in first if t.kind is not TokenKind.EOF)
     second = tokenize(flattened)
     assert kinds_and_texts(first) == kinds_and_texts(second)
+
+
+_TEXTS = st.one_of(
+    st.sampled_from(PUNCTUATIONS),
+    st.sampled_from(sorted(KEYWORDS) + ["@drop", "@shutdown"]),
+    st.from_regex(r"[A-Za-zéß_][A-Za-z0-9éß_]{0,4}", fullmatch=True),
+    st.from_regex(r"[0-9]{1,3}", fullmatch=True),
+)
+_GAPS = st.lists(
+    st.sampled_from([" ", "\t", "\r", "\n", "\r\n", "//\n", "// note\n", "//x//\t\r\n"]),
+    max_size=3,
+).map("".join)
+_TAILS = st.tuples(_GAPS, st.sampled_from(["", "//", "// end"])).map("".join)
+_ENDS_STATEMENT = {")", "]", "}", "true", "false", "bool"}
+
+
+@settings(database=None, deadline=None, derandomize=True, max_examples=300)
+@given(st.lists(st.tuples(_GAPS, _TEXTS), max_size=30), _TAILS)
+def test_tokens_cover_the_source(pieces, tail):
+    """Whatever the lexer's design, on text made of token texts, blanks, comments
+    and newlines: each token's text is at its position, the text between tokens
+    is only blanks, comments and newlines, and a synthetic ";" follows a token
+    that ends a statement and sits on a newline or at the end of input."""
+    source = "".join(gap + text for gap, text in pieces) + tail
+    try:
+        tokens = tokenize(source)
+    except LexError:
+        assume(False)  # a marker run into a name, such as "@dropx"
+    line_offsets = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
+
+    def offset(tok):
+        return line_offsets[tok.line - 1] + tok.col - 1
+
+    covered = 0
+    for before, tok in zip([None] + tokens, tokens):
+        start = offset(tok)
+        if tok.synthetic:
+            assert tok.text == ";"
+            assert start == len(source) or source[start] == "\n"
+            assert not before.synthetic
+            assert before.kind in (TokenKind.IDENT, TokenKind.NUMBER, TokenKind.FAULT_MARKER) \
+                or before.text in _ENDS_STATEMENT
+            continue
+        assert source[start:start + len(tok.text)] == tok.text
+        for line in source[covered:start].split("\n"):
+            assert line.split("//", 1)[0].strip(" \t\r") == ""
+        covered = start + len(tok.text)
+    assert tokens[-1].kind is TokenKind.EOF and covered == len(source)

@@ -139,6 +139,28 @@ def test_parse_errors_cite_the_offending_token():
     assert "identifier" in str(err.value)
 
 
+@pytest.mark.parametrize("spec, col, op", [
+    ("G (p.x == p.x == p.x)", 21, "=="),
+    ("G (p.ok && p.x == p.x == p.x)", 29, "=="),
+    ("G (p.x != p.x == p.x)", 21, "=="),
+])
+def test_equality_does_not_chain(spec, col, op):
+    """`==` and `!=` take one comparison; a second one is an error at its operator."""
+    source = f"proc P() {{ var x bool\n var ok bool }}\ninit {{ p: P() }}\nltl {{ {spec} }}\n"
+    with pytest.raises(ParseError) as err:
+        parse_source(source)
+    assert (err.value.pos.line, err.value.pos.col) == (4, col)
+    assert err.value.message == (
+        f"expected ')' to close the parenthesized expression, found {op!r}"
+    )
+
+
+def test_implication_nests_to_the_right():
+    expr = parse_source("proc P() { x = a -> b -> c }\ninit {}").proc_decls[0].body.stmts[0].value
+    a, b, c = (ast.Name(ident=n) for n in "abc")
+    assert expr == ast.Binary(op="->", left=a, right=ast.Binary(op="->", left=b, right=c))
+
+
 def test_statements_separated_by_semicolon_or_newline():
     by_semi = parse_source("proc P() { var a bool; a = true }\ninit {}")
     by_newline = parse_source("proc P() {\n  var a bool\n  a = true\n}\ninit {}")
