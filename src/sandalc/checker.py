@@ -7,8 +7,9 @@ are well-posed.
 
 Supported spec shapes are G(p), F(p), F(G(p)) and G(F(p)) with p
 propositional.  Lowering unrolls loops, so every process automaton is
-acyclic (checked once per model, when its transitions are compiled), and the
-only cycles of the product are the stutter self-loops at global deadlock.
+acyclic, and it numbers locations so that every transition leads forward
+(checked once per model, when its transitions are compiled).  So the only
+cycles of the product are the stutter self-loops at global deadlock.
 Every run therefore ends by stuttering forever in one deadlocked state, and
 each pattern is a reachability question:
 
@@ -214,38 +215,22 @@ def _leaving(automaton: ProcessAutomaton) -> tuple[tuple[Transition, ...], ...]:
     return tuple(map(tuple, leaving))
 
 
-def _require_acyclic(cs: CompiledSystem, leaving: tuple) -> None:
-    """Raise ValueError if a process automaton has a cycle; `leaving` holds
-    each automaton's transitions per source location.
+def _require_acyclic(cs: CompiledSystem) -> None:
+    """Raise ValueError at the first transition that does not lead forward.
 
     Deciding liveness by deadlock reachability is sound only when the stutter
     self-loops are the sole cycles of the product, which holds when every
-    automaton is acyclic.  A depth-first search from each location finds a
-    cycle as an edge back to a location on the current path.
+    automaton is acyclic.  Lowering numbers locations in a topological order,
+    so an automaton is acyclic when every transition has `src < dst`.
     """
-    for automaton, out in zip(cs.automata, leaving):
-        mark = [0] * automaton.n_locations  # 1: on the current path, 2: done
-        for root in range(automaton.n_locations):
-            if mark[root]:
-                continue
-            mark[root] = 1
-            path, todo = [root], [iter(out[root])]
-            while todo:
-                t = next(todo[-1], None)
-                if t is None:
-                    mark[path.pop()] = 2
-                    todo.pop()
-                elif mark[t.dst] == 1:
-                    cycle = [t.src] + path[path.index(t.dst) :]
-                    raise ValueError(
-                        f"process {automaton.name}: transition {t.src} -> {t.dst} "
-                        f"({t.label}) lies on the cycle {' -> '.join(map(str, cycle))}; "
-                        "the checker needs acyclic automata"
-                    )
-                elif not mark[t.dst]:
-                    mark[t.dst] = 1
-                    path.append(t.dst)
-                    todo.append(iter(out[t.dst]))
+    for automaton in cs.automata:
+        for t in automaton.transitions:
+            if t.dst <= t.src:
+                raise ValueError(
+                    f"process {automaton.name}: transition {t.src} -> {t.dst} ({t.label}) "
+                    "does not lead forward and may close a cycle; "
+                    "the checker needs acyclic automata numbered in topological order"
+                )
 
 
 def _nodes(e):
@@ -290,8 +275,8 @@ def _compiled(cs: CompiledSystem) -> _Compiled:
     them.  Building them first checks that every automaton is acyclic."""
     table = cs.__dict__.get("_compiled")
     if table is None:
+        _require_acyclic(cs)
         leaving = tuple(map(_leaving, cs.automata))
-        _require_acyclic(cs, leaving)
         n_procs = len(cs.automata)
         views = tuple(
             tuple(itemgetter(i, *(n_procs + c for c in r)) for r in _read_sets(automaton))

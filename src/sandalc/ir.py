@@ -20,14 +20,15 @@ Each edge is stated once: its fault tag follows from its kind
 finds every send by its `send.fire` or `send.buffered` edge.
 
 Loops are unrolled (array bindings are static after instantiation), so every
-automaton is acyclic: no transition leads back to a location its process has
-already left.  Locations are numbered entry first, then by first appearance
-along the edge list, not in a topological order: a branch that joins an
-earlier branch's exit jumps to a lower number.
+automaton is acyclic, and locations are numbered in a topological order:
+every transition leads from a lower number to a higher one.  The entry is 0
+and the terminal, which every location reaches, is the last; the weaver's
+shutdown location comes after it, and a drop edge skips forward over a send.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -412,18 +413,31 @@ def lower_process(system: SystemInstance, proc_index: int) -> ProcessAutomaton:
     entry, terminal = lowerer.fresh(), lowerer.fresh()
     # An empty body lowers to one noop step, so entry != terminal.
     lowerer.lower_block(system.template_info(proc).template.body, entry, terminal)
-    # Renumber compactly and deterministically: entry first, then in order of
-    # first appearance along the edge list.
-    numbering = {entry: 0}
-    for src, dst, *_ in lowerer.edges:
-        numbering.setdefault(src, len(numbering))
-        numbering.setdefault(dst, len(numbering))
+    edges = lowerer.edges
+    # Renumber in topological order by Kahn's algorithm from the entry: of the
+    # locations whose every incoming edge is numbered, take next the one made
+    # ready by the earliest edge in the list.  Raw ids are dense, so plain
+    # lists index them.
+    leaving: list[list[tuple[int, int]]] = [[] for _ in range(lowerer.n_locs)]
+    waiting = [0] * lowerer.n_locs  # incoming edges from unnumbered locations
+    for k, (src, dst, *_) in enumerate(edges):
+        leaving[src].append((k, dst))
+        waiting[dst] += 1
+    numbering = [0] * lowerer.n_locs
+    ready, n = [(-1, entry)], 0
+    while ready:
+        _, loc = heapq.heappop(ready)
+        numbering[loc], n = n, n + 1
+        for k, dst in leaving[loc]:
+            waiting[dst] -= 1
+            if not waiting[dst]:
+                heapq.heappush(ready, (k, dst))
     transitions = tuple(
-        Transition(numbering[src], numbering[dst], *rest) for src, dst, *rest in lowerer.edges
+        Transition(numbering[src], numbering[dst], *rest) for src, dst, *rest in edges
     )
     return ProcessAutomaton(
         name=proc.name,
-        n_locations=len(numbering),
+        n_locations=n,
         entry=0,
         terminal=numbering[terminal],
         transitions=transitions,

@@ -10,10 +10,9 @@ choice.  The first TRANS is a disjunction with one disjunct per transition,
 listing only its enabledness and the fields it writes, plus the `t_none`
 stutter disjunct of a deadlocked state.  Then one TRANS per state field keeps
 its value unless `next(step)` is one of the transitions that write it, so the
-text is linear in transitions plus writes.  The per-process JUSTICE
-constraints read `step`.  They are always emitted, and they cannot change a
-verdict: the automata are acyclic, so every infinite path ends in the stutter,
-where no process is enabled, and each constraint holds on it.
+text is linear in transitions plus writes.  No fairness constraint is
+emitted: the automata are acyclic, so every infinite path ends in the
+stutter, where no process is enabled.
 
 Guards, values and ltl formulas print through sema.render and the emitter's
 leaf tables.  Faults are already present in the woven automata, so the output
@@ -118,7 +117,6 @@ class _Emitter:
         aux = self.instance_names
         self.step_var = aux.fresh("step")
         self.any_enabled = aux.fresh("any_enabled")
-        self.enabled_ids = {pid: aux.fresh(f"enabled_{pid}") for pid in self.proc_ids}
         self.en_ids = {
             (proc, k): aux.fresh(f"en_{self.proc_ids[proc]}_{k}")
             for proc, automaton in enumerate(automata)
@@ -274,11 +272,7 @@ class _Emitter:
                 lines.append(
                     f"    {self.en_ids[proc, k]} := {pid}.loc = {src} & {guard};"
                 )
-            enables = " | ".join(
-                self.en_ids[proc, k] for k in range(len(automaton.transitions))
-            )
-            lines.append(f"    {self.enabled_ids[pid]} := {enables};")
-        any_enabled = " | ".join(self.enabled_ids[pid] for pid in self.proc_ids) or "FALSE"
+        any_enabled = " | ".join(self.en_ids.values()) or "FALSE"
         lines.append(f"    {self.any_enabled} := {any_enabled};")
 
         writers: dict[str, list[str]] = {
@@ -301,12 +295,6 @@ class _Emitter:
             if syms:
                 keep = f"next({step}) in {{{', '.join(syms)}}} | {keep}"
             lines.append(f"  TRANS {keep};")
-
-        for proc, pid in enumerate(self.proc_ids):
-            syms = ", ".join(
-                self.step_syms[proc, k] for k in range(len(self.automata[proc].transitions))
-            )
-            lines.append(f"  JUSTICE {step} in {{{syms}}} | !{self.enabled_ids[pid]};")
         lines.extend(f"  {spec}" for spec in specs)
         return "\n".join(lines) + "\n"
 

@@ -16,6 +16,7 @@ from sandalc.checker import (
     Result,
     RvState,
     StateLimitExceeded,
+    Step,
     UnsupportedFormula,
     check_spec,
     eval_prop,
@@ -493,17 +494,21 @@ def test_system_without_processes_stutters_in_its_initial_state(source, formula)
 
 
 def test_cyclic_automaton_is_rejected():
-    """A back edge would add product cycles the searches cannot see."""
+    """A back edge would add product cycles the searches cannot see.  A
+    self-loop (src == dst) is the boundary of the forward-edge check."""
     built = build_model(corpus_source("2pc_nofault"))
     spec = built.system.ltl_specs[0]
     for cs in (built.unwoven, built.woven):
         worker = cs.automata[1]
         last = worker.transitions[-1]
-        back = replace(last, src=last.dst, dst=worker.entry)
-        cyclic = replace(worker, transitions=worker.transitions + (back,))
-        broken = replace(cs, automata=(cs.automata[0], cyclic) + cs.automata[2:])
-        with pytest.raises(ValueError, match=r"process worker1: transition .* cycle"):
-            check_spec(broken, spec)
+        for bad in (
+            replace(last, src=last.dst, dst=worker.entry),
+            replace(last, src=last.dst, dst=last.dst),
+        ):
+            cyclic = replace(worker, transitions=worker.transitions + (bad,))
+            broken = replace(cs, automata=(cs.automata[0], cyclic) + cs.automata[2:])
+            with pytest.raises(ValueError, match=r"process worker1: transition .* cycle"):
+                check_spec(broken, spec)
 
 
 def test_state_limit_exceeded():
@@ -662,17 +667,34 @@ def test_corpus_specs_agree_with_naive_oracle(builds):
 
 
 def test_replay_detects_forged_counterexamples():
-    built = build_model(corpus_source("2pc_shutdown"))
-    spec = built.system.ltl_specs[0]
-    verdict = check_spec(built.woven, spec)
-    cex = verdict.counterexample
-    forged = Counterexample(
-        initial=cex.initial, prefix=cex.prefix[:-1], loop=cex.loop
-    )
     from sandalc.checker import ReplayError
 
-    with pytest.raises(ReplayError):
-        replay(built.woven, forged)
+    built = build_model(corpus_source("2pc_shutdown"))
+    cex = check_spec(built.woven, built.system.ltl_specs[0]).counterexample
+    dropped_step = Counterexample(cex.initial, cex.prefix[:-1], cex.loop)
+    arbiter = cex.initial.procs[0]
+    moved = arbiter._replace(loc=arbiter.loc + 1)
+    changed_initial = cex.initial._replace(procs=(moved,) + cex.initial.procs[1:])
+    other_initial = Counterexample(changed_initial, cex.prefix, cex.loop)
+
+    # A G FAIL is a finite path; a loop of one real step from its last state
+    # replays, but leaves that state, so it cannot close the lasso.
+    drop = build_model(corpus_source("2pc_drop"))
+    determined = PAtom(0, 0, "arbiter", "determined", None)
+    path = check_spec(drop.woven, spec_of("G", PNot(determined))).counterexample
+    assert path.prefix and path.loop is None
+    last = path.prefix[-1].state
+    proc, label, nxt = next(s for s in successors(drop.woven, last) if s[0] is not None)
+    step = Step(proc, drop.system.processes[proc].name, label, nxt)
+    open_loop = Counterexample(path.initial, path.prefix, (step,))
+
+    for cs, forged, message in (
+        (built.woven, dropped_step, "cannot be replayed"),
+        (built.woven, other_initial, "recorded initial state differs"),
+        (drop.woven, open_loop, "loop does not close back on its head state"),
+    ):
+        with pytest.raises(ReplayError, match=message):
+            replay(cs, forged)
 
 
 def test_trace_format():

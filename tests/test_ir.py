@@ -134,6 +134,21 @@ def test_every_nonterminal_location_has_an_exit(all_builds):
             assert automaton.terminal not in with_exit
 
 
+def test_locations_are_numbered_in_topological_order(all_builds):
+    """Every edge leads forward, unwoven and woven: the entry is 0, the
+    unwoven terminal is last, and so is a woven shutdown location."""
+    for built in all_builds:
+        for cs in (built.unwoven, built.woven):
+            for automaton in cs.automata:
+                assert automaton.entry == 0
+                for t in automaton.transitions:
+                    assert t.src < t.dst, f"{automaton.name}: {t.src} -> {t.dst} ({t.label})"
+                if automaton.shutdown_loc is not None:
+                    assert automaton.shutdown_loc == automaton.n_locations - 1
+        for automaton in built.unwoven.automata:
+            assert automaton.terminal == automaton.n_locations - 1
+
+
 def test_automaton_connected_from_entry(all_builds):
     for built in all_builds:
         for automaton in built.unwoven.automata:

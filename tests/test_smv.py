@@ -51,10 +51,10 @@ def test_two_phase_commit_document_structure():
     # skip edges for dropped channels appear as extra transitions in main:
     # each dropped send adds one unconditional location jump
     assert doc.main_module.count("en_arbiter_") >= 27 + 6  # crashes + drops included
-    # one JUSTICE line per process, over that process's transitions
+    # no fairness constraint: the automata are acyclic, so every infinite run
+    # ends in the stutter, where no process is enabled
     main = doc.main_module
-    justice = re.findall(r"^  JUSTICE step in \{(.*)\} \| !enabled_(\w+);$", main, re.M)
-    assert [pid for _, pid in justice] == ["arbiter", "worker1", "worker2"]
+    assert not re.search(r"^\s*(JUSTICE|FAIRNESS|COMPASSION)\b", main, re.M)
     # `step` has one symbol per woven transition plus `t_none`
     built = build_model(corpus_source("2pc_allfaults"))
     transitions = [len(a.transitions) for a in built.woven.automata]
@@ -64,8 +64,10 @@ def test_two_phase_commit_document_structure():
         for pid, count in zip(("arbiter", "worker1", "worker2"), transitions)
         for k in range(count)
     ] + ["t_none"]
-    for (syms, _), count in zip(justice, transitions):
-        assert len(syms.split(", ")) == count
+    # `any_enabled` is the disjunction of every `en_` symbol, in transition order
+    en_symbols = ["en_" + sym[2:] for sym in symbols.split(", ")[:-1]]
+    assert re.findall(r"^    (en_\w+) := ", main, re.M) == en_symbols
+    assert f"    any_enabled := {' | '.join(en_symbols)};" in main.splitlines()
     assert main.count("\n    |\n") == sum(transitions)  # a disjunct each, and one for t_none
 
 

@@ -4,9 +4,8 @@ tests/smv_interp.py reads the text `sandalc compile` writes and explores it
 on its own.  For every model here its reachable states and edges, with the
 `step` bookkeeping variable projected away, equal the checker's; every
 LTLSPEC's propositional core agrees with `eval_prop` on every reachable
-state, and its verdict, with and without the JUSTICE lines, is the
-checker's; and every JUSTICE line holds in every state the stutter step
-enters.
+state, and its verdict is the checker's.  The text has no JUSTICE lines,
+so the interpreter's `fair` setting cannot change that verdict.
 """
 
 import sys
@@ -110,8 +109,6 @@ def test_smv_text_agrees_with_the_checker(name):
     # The stutter is the only step that leaves every field unchanged.
     stutter_entered = {t for s in reached for t in model.successors(s) if project(t) == project(s)}
     assert stutter_entered
-    for justice in model.justice:
-        assert all(justice(s) for s in stutter_entered)
 
     of_field = {v: s for s, v in as_smv.items()}
     assert len(model.specs) == len(built.system.ltl_specs)
@@ -120,7 +117,7 @@ def test_smv_text_agrees_with_the_checker(name):
         assert ops.replace("GG", "G").replace("FF", "F") == pattern
         for s in reached:
             assert core(s) == eval_prop(prop, of_field[project(s)]), spec.text
-        # The same verdict, and the JUSTICE lines cannot change it.
+        # The same verdict, with or without the interpreter's fairness.
         passed = check_spec(cs, spec).passed
         assert model.holds(k, fair=True) == model.holds(k, fair=False) == passed, spec.text
 
