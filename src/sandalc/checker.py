@@ -32,20 +32,28 @@ transition applies its actions as SMV's next() does: every value and payload
 reads the pre-state, a later write to the same slot wins, and a later write
 to a channel replaces its whole record.
 
-The search itself stores collapsed states, as SPIN's COLLAPSE mode does: a
-key is a flat tuple of small ints, one id per process record and one per
-channel record, interned in tables that live as long as the search.  A
-process's enabled moves depend only on its local view: its own record and
-the channels its location reads.  So each process has a move table keyed by
-its view, holding only the ids each move writes; a miss computes the moves
-of that one process from its record and the channel records, and interns
-the records they write.  A proposition reads only the slots of its atoms,
-so every record of a process it reads gets a class id, one per valuation of
-those slots, and the proposition is memoized on the class ids: `eval_prop`
-runs once per valuation of its atoms.  The search keeps only each key's
-parent key.  A counterexample decodes the path and takes, at each step, the
-first step of `successors` that reaches the next state, which is the one
-the search kept.
+The search itself stores collapsed states, as SPIN's COLLAPSE mode does,
+packed into one int as SPIN packs its state vector.  A key has one 32-bit
+field per process record and one per channel record, each the record's id
+in a table that lives as long as the search.  A process's enabled moves
+depend only on its local view: its own record and the channels its location
+reads.  The view is the key under a mask that the process's record picks,
+one mask per location, built once per model.  A proposition reads only the
+slots of its atoms, so each record of a process it reads gets a class id,
+one per valuation of those slots, and the key holds one more 32-bit field
+per such process, above every record field, with its class id.  A move
+changes its own record, channels its location reads, and its class id,
+which its own record determines: a function of its view.  So each process
+has a move table keyed by its view, holding one delta per move, and a
+successor is the key plus a delta.
+A miss computes the moves of that one process from its record and the
+channel records, and interns the records they write.  The proposition is
+memoized on the class fields, `key >> top`, so `eval_prop` runs once per
+valuation of its atoms.  An id that would not fit its field raises
+MemoryError: that many records could not be stored.  The search keeps only
+each key's parent key.  A counterexample decodes the path and takes, at
+each step, the first step of `successors` that reaches the next state,
+which is the one the search kept.
 
 Counterexamples are replayable: applying the recorded labels from the initial
 state reproduces the recorded states exactly.
@@ -54,7 +62,6 @@ state reproduces the recorded states exactly.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, NamedTuple
@@ -261,16 +268,24 @@ def _read_sets(automaton: ProcessAutomaton) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(r)) for r in reads)
 
 
+# A collapsed key packs one id per record into a field this wide (see
+# _Collapsed).  An id never reaches 2**FIELD_BITS: that many records of one
+# process or channel could not be stored.
+FIELD_BITS = 32
+FIELD = (1 << FIELD_BITS) - 1
+
+
 class _Compiled(NamedTuple):
     # Per process, per location: the transitions leaving it.
     leaving: tuple[tuple[tuple[Transition, ...], ...], ...]
-    # Per process, per location: the getter of its view from a collapsed key,
-    # i.e. its own id and the ids of the channels the location reads.
-    views: tuple[tuple[Callable[[tuple], object], ...], ...]
+    # Per process, per location: the mask of its view in a collapsed key,
+    # i.e. the fields of its own record and of the channels the location
+    # reads.
+    masks: tuple[tuple[int, ...], ...]
 
 
 def _compiled(cs: CompiledSystem) -> _Compiled:
-    """Each automaton's transitions per location and view getters, built on
+    """Each automaton's transitions and view masks per location, built on
     first use and kept on `cs`, so commands that never search never build
     them.  Building them first checks that every automaton is acyclic."""
     table = cs.__dict__.get("_compiled")
@@ -278,11 +293,14 @@ def _compiled(cs: CompiledSystem) -> _Compiled:
         _require_acyclic(cs)
         leaving = tuple(map(_leaving, cs.automata))
         n_procs = len(cs.automata)
-        views = tuple(
-            tuple(itemgetter(i, *(n_procs + c for c in r)) for r in _read_sets(automaton))
+        masks = tuple(
+            tuple(
+                sum(FIELD << FIELD_BITS * pos for pos in (i, *(n_procs + c for c in r)))
+                for r in _read_sets(automaton)
+            )
             for i, automaton in enumerate(cs.automata)
         )
-        table = cs.__dict__["_compiled"] = _Compiled(leaving, views)
+        table = cs.__dict__["_compiled"] = _Compiled(leaving, masks)
     return table
 
 
@@ -396,115 +414,125 @@ class Verdict:
 
 class _Collapsed:
     """One search's collapsed state space: keys, their records, and the move
-    and proposition memos.  A key holds one id per process record, in process
-    order, then one per channel record.  Everything here lives as long as the
-    search."""
+    and proposition memos.  A key is one int of FIELD_BITS-wide fields: one
+    id per process record, in process order, then one per channel record,
+    then, from bit `top` up, one class id per process the atoms of the
+    proposition read.  Everything here lives as long as the search."""
 
     def __init__(self, cs: CompiledSystem, prop: Prop) -> None:
         self.cs = cs
         self.prop = prop
         self.n_procs = n_procs = len(cs.automata)
-        self.leaving, self.loc_views = _compiled(cs)
+        self.leaving, self.loc_masks = _compiled(cs)
         width = n_procs + len(cs.instance.channels)
-        self.chan_pos = range(n_procs, width)  # the key positions of channels
+        self.top = FIELD_BITS * width
+        self.shifts = range(0, self.top, FIELD_BITS)  # per key position
         # Per key position: record -> id, and id -> record.
         self.ids: list[dict] = [{} for _ in range(width)]
         self.records: list[list] = [[] for _ in range(width)]
-        # Per process: id -> getter of its view, and view -> its moves, each
-        # move the ((key position, id), ...) it writes, in successor order.
-        self.view_of: list[list] = [[] for _ in range(n_procs)]
+        # Per process: id -> mask of its view, and view -> its moves, each
+        # move the delta it adds to a key, in successor order.
+        self.mask_of: list[list[int]] = [[] for _ in range(n_procs)]
         self.moves: list[dict] = [{} for _ in range(n_procs)]
-        self.per_proc = tuple(zip(range(n_procs), self.view_of, self.moves))
+        self.per_proc = tuple(zip(range(n_procs), self.shifts, self.mask_of, self.moves))
         # Per process the atoms of `prop` read: the getter of the slots they
-        # read, and id -> class id.  Class ids come from one valuation -> id
-        # table, since they need only tell apart the valuations of a process.
+        # read, the shift of its class field, valuation -> class id, and
+        # id -> class id.  A process has no more class ids than record ids,
+        # so its class ids fit a field too.
         atoms = sorted(_atoms(prop))
         self.atoms = {i: itemgetter(*(s for j, s in atoms if j == i)) for i, _ in atoms}
-        self.class_ids: dict = {}
-        self.classes: list[list] = [[] for _ in range(n_procs)]
+        self.class_shift = {i: self.top + FIELD_BITS * j for j, i in enumerate(self.atoms)}
+        self.class_ids: dict[int, dict] = {i: {} for i in self.atoms}
+        self.classes: list[list[int]] = [[] for _ in range(n_procs)]
         self.props: dict = {}
 
     def clear(self) -> None:
-        for table in self.ids + self.records + self.view_of + self.moves + self.classes:
+        tables = self.ids + self.records + self.mask_of + self.moves + self.classes
+        for table in tables + list(self.class_ids.values()):
             table.clear()
-        self.class_ids.clear()
         self.props.clear()
 
     def intern(self, pos: int, record) -> int:
         ids = self.ids[pos]
         n = ids.get(record)
         if n is None:
-            n = ids[record] = len(ids)
+            n = len(ids)
+            if n > FIELD:  # so many records could not be stored anyway
+                raise MemoryError(f"record id {n} of key position {pos} does not fit its field")
+            ids[record] = n
             self.records[pos].append(record)
             if pos < self.n_procs:
-                self.view_of[pos].append(self.loc_views[pos][record[0]])
+                self.mask_of[pos].append(self.loc_masks[pos][record[0]])
                 if pos in self.atoms:
-                    valuation, classes = self.atoms[pos](record[1]), self.class_ids
+                    valuation, classes = self.atoms[pos](record[1]), self.class_ids[pos]
                     self.classes[pos].append(classes.setdefault(valuation, len(classes)))
         return n
 
-    def encode(self, state: GlobalState) -> tuple[int, ...]:
-        return tuple(map(self.intern, range(len(self.ids)), state[0] + state[1]))
+    def encode(self, state: GlobalState) -> int:
+        ids = list(map(self.intern, range(len(self.ids)), state[0] + state[1]))
+        key = sum(n << shift for n, shift in zip(ids, self.shifts))
+        return key + sum(self.classes[i][ids[i]] << s for i, s in self.class_shift.items())
 
-    def decode(self, key: tuple[int, ...]) -> GlobalState:
-        records = tuple(map(list.__getitem__, self.records, key))
+    def decode(self, key: int) -> GlobalState:
+        records = tuple(rs[(key >> s) & FIELD] for rs, s in zip(self.records, self.shifts))
         return GlobalState(records[: self.n_procs], records[self.n_procs :])
 
-    def _moves_of(self, i: int, key: tuple[int, ...]) -> tuple:
-        """Process i's moves at `key`, each the ((key position, id), ...) it
-        writes: its own record, then every channel whose record the move
-        replaced.  A replaced record equal to the old one re-interns to the
-        same id."""
-        n, intern = self.n_procs, self.intern
-        proc = self.records[i][key[i]]
-        chans = tuple(map(list.__getitem__, self.records[n:], key[n:]))
+    def _moves_of(self, i: int, key: int) -> tuple[int, ...]:
+        """Process i's moves at `key`, each the delta that adds it: the change
+        of its own record, of its class id if the proposition reads it, and of
+        every channel whose record the move replaced.  A replaced record equal
+        to the old one re-interns to the same id.  Each field a move changes
+        is in the process's view, or is its class id, which its own record
+        determines, so the delta depends on the view only."""
+        n, intern, records, classes = self.n_procs, self.intern, self.records, self.classes[i]
+        shift, chan_shifts = self.shifts[i], self.shifts[n:]
+        own = (key >> shift) & FIELD
+        old_ids = [(key >> s) & FIELD for s in chan_shifts]
+        chans = tuple(map(list.__getitem__, records[n:], old_ids))
+        class_shift = self.class_shift.get(i)
         found = []
-        for t, vars_, post in _moves(self.leaving[i], proc, chans):
-            writes = [(i, intern(i, ProcState(t.dst, vars_)))]
-            writes += [
-                (pos, intern(pos, new))
-                for pos, new, old in zip(self.chan_pos, post, chans)
-                if new is not old
-            ]
-            found.append(tuple(writes))
+        for t, vars_, post in _moves(self.leaving[i], records[i][own], chans):
+            new = intern(i, ProcState(t.dst, vars_))
+            delta = (new - own) << shift
+            if class_shift is not None:
+                delta += (classes[new] - classes[own]) << class_shift
+            for pos, s, record, old_record, old in zip(
+                range(n, len(records)), chan_shifts, post, chans, old_ids
+            ):
+                if record is not old_record:
+                    delta += (intern(pos, record) - old) << s
+            found.append(delta)
         return tuple(found)
 
-    def successor_keys(self, key: tuple[int, ...]) -> list[tuple[int, ...]]:
+    def successor_keys(self, key: int) -> list[int]:
         """The keys of the process steps `successors` takes from the decoded
-        key, in its order; empty at a deadlock."""
+        key, in its order; empty at a deadlock.  `_search` does the same
+        lookups inline."""
         out = []
-        for i, view_of, moves in self.per_proc:
-            view = view_of[key[i]](key)
-            found = moves.get(view)
-            if found is None:
-                found = moves[view] = self._moves_of(i, key)
-            for writes in found:
-                nxt = list(key)
-                for pos, n in writes:
-                    nxt[pos] = n
-                out.append(tuple(nxt))
+        for i, shift, mask_of, moves in self.per_proc:
+            view = key & mask_of[(key >> shift) & FIELD]
+            deltas = moves.get(view)
+            if deltas is None:
+                deltas = moves[view] = self._moves_of(i, key)
+            out += [key + delta for delta in deltas]
         return out
 
-    def negation(self, init: tuple[int, ...]) -> Callable[[tuple], bool]:
-        """`not eval_prop(prop, state)` as a function of the state's key,
-        memoized on the class ids of the processes the atoms of `prop` read,
-        so `eval_prop` runs once per valuation of the atoms."""
-        prop, decode, memo = self.prop, self.decode, self.props
-        if not self.atoms:
-            value = not eval_prop(prop, decode(init))
-            return lambda key: value
-        read = tuple(zip(self.atoms, map(self.classes.__getitem__, self.atoms)))
+    def negation(self, init: int) -> Callable[[int], bool]:
+        """`not eval_prop(prop, state)` as a function of the key of a state
+        reachable from key `init`, memoized on the key's class fields,
+        `key >> top`, so `eval_prop` runs once per valuation of the atoms.  A
+        proposition without atoms has no class field: `key >> top` is 0."""
+        prop, decode, memo, top = self.prop, self.decode, self.props, self.top
 
-        def notp(key: tuple[int, ...]) -> bool:
-            class_key = tuple([classes[key[i]] for i, classes in read])
-            value = memo.get(class_key)
+        def notp(key: int) -> bool:
+            value = memo.get(key >> top)
             if value is None:
-                value = memo[class_key] = not eval_prop(prop, decode(key))
+                value = memo[key >> top] = not eval_prop(prop, decode(key))
             return value
 
         return notp
 
-    def path_to(self, parents: dict, key: tuple[int, ...]) -> tuple[Step, ...]:
+    def path_to(self, parents: dict, key: int) -> tuple[Step, ...]:
         """The steps from the initial key to `key`.  The search kept, for each
         key, the first step of `successors` from its parent that reaches it,
         so that is the step taken here."""
@@ -529,42 +557,65 @@ def _atoms(p: Prop) -> set[tuple[int, int]]:
 # Search: one breadth-first search serves every pattern
 
 
-def _search(space: _Collapsed, init, inside, target, lasso: bool, max_states: int) -> Verdict:
-    """Shortest path from key `init`, through keys satisfying `inside`, to a
-    `target` key.
+def _search(space: _Collapsed, init: int, pattern: str, max_states: int) -> Verdict:
+    """Shortest path from key `init` to a key that refutes `pattern`, found
+    level by level.
 
-    `target(key, succs)` is tested when a key is expanded, with its successor
-    keys.  The path found is the counterexample; with `lasso`, one stutter
-    step at the target state closes it into a loop.  A MemoryError leaves
-    with the number of states found in its `states` attribute.
+    G: a !p key, tested when it is expanded.  F: a deadlocked key reached
+    through !p keys only, so successors where p holds are not kept.  FG and
+    GF: a deadlocked !p key.  A key is deadlocked when no process moves from
+    it; the path to it, with one stutter step at its state as the loop, is
+    the counterexample.  A MemoryError leaves with the number of states
+    found in its `states` attribute.
     """
-    parents: dict[tuple, tuple | None] = {init: None}
-    frontier = deque([init] if inside(init) else ())
-    successor_keys = space.successor_keys
+    notp = space.negation(init)
+    safety, through_notp = pattern == "G", pattern == "F"
+    per_proc, moves_of = space.per_proc, space._moves_of
+    parents: dict[int, int | None] = {init: None}
+    level = [init] if not through_notp or notp(init) else []
+    next_level: list[int] = []
     try:
-        while frontier:
-            key = frontier.popleft()
-            succs = successor_keys(key)
-            if target(key, succs):
-                state = space.decode(key)
-                loop = (Step(None, STUTTER_NAME, STUTTER_LABEL, state),) if lasso else None
-                cex = Counterexample(space.decode(init), space.path_to(parents, key), loop)
-                return Verdict(Result.FAIL, cex, len(parents))
-            for nxt in succs:
-                if nxt in parents or not inside(nxt):
-                    continue
-                parents[nxt] = key
-                if len(parents) > max_states:
-                    raise StateLimitExceeded(max_states)
-                frontier.append(nxt)
+        while level:
+            next_level = []
+            for key in level:
+                if safety and notp(key):
+                    return _refuted(space, parents, init, key, lasso=False)
+                moved = False
+                for i, shift, mask_of, moves in per_proc:
+                    view = key & mask_of[(key >> shift) & FIELD]
+                    deltas = moves.get(view)
+                    if deltas is None:
+                        deltas = moves[view] = moves_of(i, key)
+                    if deltas:
+                        moved = True
+                    for delta in deltas:
+                        nxt = key + delta
+                        if nxt in parents or through_notp and not notp(nxt):
+                            continue
+                        parents[nxt] = key
+                        if len(parents) > max_states:
+                            raise StateLimitExceeded(max_states)
+                        next_level.append(nxt)
+                if not moved and not safety and (through_notp or notp(key)):
+                    return _refuted(space, parents, init, key, lasso=True)
+            level = next_level
     except MemoryError as exc:
         count = len(parents)
         parents.clear()  # room to attach the count for the caller's diagnostic
-        frontier.clear()
+        level.clear()
+        next_level.clear()
         space.clear()
         exc.states = count
         raise
     return Verdict(Result.PASS, None, len(parents))
+
+
+def _refuted(space: _Collapsed, parents: dict, init: int, key: int, lasso: bool) -> Verdict:
+    """The FAIL verdict whose counterexample is the path to `key`; with
+    `lasso`, one stutter step at its state closes it into a loop."""
+    loop = (Step(None, STUTTER_NAME, STUTTER_LABEL, space.decode(key)),) if lasso else None
+    cex = Counterexample(space.decode(init), space.path_to(parents, key), loop)
+    return Verdict(Result.FAIL, cex, len(parents))
 
 
 def check_spec(
@@ -579,16 +630,7 @@ def check_spec(
     """
     pattern, prop = extract_pattern(spec.formula)
     space = _Collapsed(cs, prop)
-    init = space.encode(initial_state(cs))
-    notp = space.negation(init)
-    anywhere = lambda s: True
-    if pattern == "G":
-        inside, target = anywhere, lambda s, succs: notp(s)
-    elif pattern == "F":
-        inside, target = notp, lambda s, succs: not succs
-    else:
-        inside, target = anywhere, lambda s, succs: not succs and notp(s)
-    return _search(space, init, inside, target, pattern != "G", max_states)
+    return _search(space, space.encode(initial_state(cs)), pattern, max_states)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,9 @@ _RESERVED = frozenset(
     """.split()
 )
 
+# A character outside SMV's ASCII identifiers.
+_NON_IDENT = re.compile(r"[^A-Za-z0-9_]")
+
 
 class _Sanitizer:
     """Deterministic identifier sanitization with collision suffixes."""
@@ -66,7 +69,7 @@ class _Sanitizer:
     def fresh(self, original: str) -> str:
         """Allocate a unique name without consulting the memo (for names the
         emitter invents itself, which must never alias a user name)."""
-        base = re.sub(r"[^A-Za-z0-9_]", "_", original)  # SMV identifiers are ASCII
+        base = _NON_IDENT.sub("_", original)
         if not base or base[0].isdigit():
             base = "v_" + base
         candidate = base

@@ -5,7 +5,7 @@ checks the emitted modules independently of the code that wrote them.
 
 The subset: `MODULE` without parameters; `VAR` of `boolean`, `{a, b}`,
 `lo..hi` and module instances; `INIT`, `DEFINE`, `TRANS` (several are
-conjoined), `JUSTICE` and `LTLSPEC`; expressions over `! & | -> = != < >
+conjoined) and `LTLSPEC`; expressions over `! & | -> = != < >
 + -`, `case ... esac`, `in` with a set literal, `next()`, and the temporal
 operators `G` and `F` in an `LTLSPEC`.  Precedence
 follows the NuSMV 2 manual.  Each expression is type-checked (boolean,
@@ -20,7 +20,7 @@ a variable's domain is an error, as in NuSMV.
 
 `SmvModel.holds` decides an LTLSPEC of the form G, F, F G or G F of a
 propositional core on the reachable graph, through its strongly connected
-components, with or without the JUSTICE constraints.
+components.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from operator import itemgetter
 _TOKEN = re.compile(
     r"\s+|--[^\n]*|(\.\.|:=|->|!=|[A-Za-z_][A-Za-z0-9_]*|\d+|[(){};:,.!&|=<>+\-])"
 )
-_SECTIONS = {"MODULE", "VAR", "INIT", "DEFINE", "TRANS", "JUSTICE", "LTLSPEC"}
+_SECTIONS = {"MODULE", "VAR", "INIT", "DEFINE", "TRANS", "LTLSPEC"}
 _TEMPORAL = {"G", "F"}
 _COMPARE = {"=": "==", "!=": "!=", "<": "<", ">": ">"}
 _MAX_FREE = 100_000  # valuations tried for variables no constraint fixes
@@ -89,8 +89,7 @@ class _Parser:
         while self.peek() != "<eof>":
             self.take("MODULE")
             name = self.ident()
-            mod = {"vars": [], "defines": {}, "INIT": [], "TRANS": [], "JUSTICE": [],
-                   "LTLSPEC": []}
+            mod = {"vars": [], "defines": {}, "INIT": [], "TRANS": [], "LTLSPEC": []}
             while self.peek() not in ("MODULE", "<eof>"):
                 section = self.take()
                 if section == "VAR":
@@ -105,7 +104,7 @@ class _Parser:
                         self.take(":=")
                         mod["defines"][define] = self.expr()
                         self.take(";")
-                elif section in ("INIT", "TRANS", "JUSTICE", "LTLSPEC"):
+                elif section in ("INIT", "TRANS", "LTLSPEC"):
                     mod[section].append(self.expr())
                     self.take(";")
                 else:
@@ -269,7 +268,7 @@ class SmvModel:
         self.names: list[str] = []
         self.domains: list[tuple] = []
         self._defines: dict[str, tuple] = {}  # full name -> (expr, prefix)
-        sections: dict[str, list] = {"INIT": [], "TRANS": [], "JUSTICE": [], "LTLSPEC": []}
+        sections: dict[str, list] = {"INIT": [], "TRANS": [], "LTLSPEC": []}
         self._flatten(modules, "main", "", sections)
         self.index = {name: i for i, name in enumerate(self.names)}
         self._symbols = {v for d in self.domains for v in d if isinstance(v, str)}
@@ -283,7 +282,6 @@ class SmvModel:
         self._trans = self._conjunction(sections["TRANS"], "trans")
         reads = sorted(self._trans_reads)
         self._key = (lambda s: ()) if not reads else itemgetter(*reads)
-        self.justice = [self._predicate(e, p) for e, p in sections["JUSTICE"]]
         self.specs = []  # (temporal operators, compiled propositional core)
         for e, p in sections["LTLSPEC"]:
             ops = ""
@@ -409,7 +407,7 @@ class SmvModel:
         return src
 
     def _predicate(self, e, prefix):
-        src = self._typed(e, prefix, "state", set(), "bool", "JUSTICE or LTLSPEC")
+        src = self._typed(e, prefix, "state", set(), "bool", "LTLSPEC")
         return eval(f"lambda c: {src}", self._env)
 
     def _conjunction(self, items, mode: str) -> _Node:
@@ -568,36 +566,32 @@ class SmvModel:
 
     # -- verdicts
 
-    def holds(self, k: int, fair: bool = True) -> bool:
+    def holds(self, k: int) -> bool:
         """Whether LTLSPEC number k, a G, F, F G or G F of a propositional
-        core, holds on every path from an initial state; with `fair`, on
-        every path on which each JUSTICE line holds infinitely often."""
+        core, holds on every infinite path from an initial state."""
         ops, core = self.specs[k]
         pattern = re.sub(r"(.)\1+", r"\1", ops)  # G G p is G p
         states = self.reachable
         bad = {s for s in states if not core(s)}
-        if pattern == "G":  # no !p state on a fair path
+        if pattern == "G":  # no !p state on an infinite path
             live: set = set()
             for scc in self._sccs(states):
-                if self._fair_cycle(scc, fair) or any(
+                if self._cycle(scc) or any(
                     t in live for s in scc for t in self.successors(s)
                 ):
                     live.update(scc)
             return not bad & live
-        if pattern == "F":  # no fair path that stays in !p from the start
-            return not any(self._fair_cycle(c, fair) for c in self._sccs(self.reachable_within(bad)))
-        if pattern == "GF":  # no fair path that ends in !p
-            return not any(self._fair_cycle(c, fair) for c in self._sccs(bad))
-        if pattern == "FG":  # no fair path through !p infinitely often
-            return not any(self._fair_cycle(c, fair) and bad.intersection(c)
-                           for c in self._sccs(states))
+        if pattern == "F":  # no infinite path that stays in !p from the start
+            return not any(self._cycle(c) for c in self._sccs(self.reachable_within(bad)))
+        if pattern == "GF":  # no infinite path that ends in !p
+            return not any(self._cycle(c) for c in self._sccs(bad))
+        if pattern == "FG":  # no infinite path through !p infinitely often
+            return not any(self._cycle(c) and bad.intersection(c) for c in self._sccs(states))
         raise SmvError(f"no verdict for the temporal operators {ops!r}")
 
-    def _fair_cycle(self, scc: list, fair: bool) -> bool:
-        """An infinite path can stay in `scc`, each JUSTICE true somewhere."""
-        if len(scc) == 1 and scc[0] not in self.successors(scc[0]):
-            return False
-        return not fair or all(any(j(s) for s in scc) for j in self.justice)
+    def _cycle(self, scc: list) -> bool:
+        """An infinite path can stay in `scc`."""
+        return len(scc) > 1 or scc[0] in self.successors(scc[0])
 
     def _sccs(self, nodes: set) -> list[list]:
         """Strongly connected components of the graph on `nodes` (Tarjan),

@@ -438,6 +438,70 @@ def test_proposition_memo_runs_once_per_atom_valuation(name, monkeypatch):
         assert len(atoms) >= 2 or prop == PBool(True)
 
 
+@pytest.mark.parametrize("name", [n for n in COLLAPSE_MODELS if not n.startswith("golden/")])
+def test_class_fields_tell_apart_exactly_the_atom_valuations(name):
+    """On every key the search reaches, the class fields above `top` are
+    equal for two keys exactly when their atom records have equal
+    valuations, for a proposition reading atoms of two or more processes."""
+    cs = build_model(COLLAPSE_MODELS[name]).woven
+    prop = _props_over_locals(cs)[-1]
+    atoms = sorted(checker._atoms(prop))
+    assert len({i for i, _ in atoms}) >= 2
+    space = checker._Collapsed(cs, prop)
+    init = space.encode(initial_state(cs))
+    seen, frontier = {init}, deque([init])
+    while frontier:
+        for nxt in space.successor_keys(frontier.popleft()):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    class_of = {}
+    for key in seen:
+        assert space.encode(space.decode(key)) == key
+        state = space.decode(key)
+        valuation = tuple(state.procs[i].vars[slot] for i, slot in atoms)
+        assert class_of.setdefault(valuation, key >> space.top) == key >> space.top
+    assert len(set(class_of.values())) == len(class_of) > 1
+
+
+def _plain_search(graph, pattern, prop):
+    """The verdict and state count of `check_spec` by a plain BFS over the
+    `successors` graph: G fails at the first !p state expanded; F at the
+    first deadlock expanded, keeping !p states only; FG and GF at the first
+    deadlocked !p state expanded."""
+    init, succ = graph
+    notp = lambda s: not eval_prop(prop, s)
+    inside = notp if pattern == "F" else (lambda s: True)
+    seen = {init}
+    frontier = deque([init] if inside(init) else ())
+    while frontier:
+        state = frontier.popleft()
+        deadlock = succ[state] == ((None, "STUTTER", state),)
+        if notp(state) if pattern == "G" else deadlock and (pattern == "F" or notp(state)):
+            return False, len(seen)
+        for _, _, nxt in succ[state]:
+            if nxt not in seen and inside(nxt):
+                seen.add(nxt)
+                frontier.append(nxt)
+    return True, len(seen)
+
+
+@pytest.mark.parametrize("name", COLLAPSE_MODELS)
+def test_search_agrees_with_a_plain_bfs_over_successors(name):
+    """The search's inline expansion over packed keys gives the verdict and
+    `states_explored` of a plain BFS over `successors`, for every pattern;
+    `F true` holds at the initial state and passes with 1 state."""
+    cs = build_model(COLLAPSE_MODELS[name]).woven
+    graph = build_graph(cs)
+    for prop in _props_over_locals(cs):
+        for pattern in ("G", "F", "FG", "GF"):
+            verdict = check_spec(cs, spec_of(pattern, prop))
+            expected = _plain_search(graph, pattern, prop)
+            assert (verdict.passed, verdict.states_explored) == expected, (pattern, prop)
+    at_init = check_spec(cs, spec_of("F", PBool(True)))
+    assert (at_init.passed, at_init.states_explored) == (True, 1)
+
+
 def test_shared_successor_step_is_the_first_in_successor_order():
     """Both branches of the choice reach one state; the counterexample passes
     through it by the first branch, as `successors` lists them."""
@@ -516,6 +580,18 @@ def test_state_limit_exceeded():
     spec = built.system.ltl_specs[0]
     with pytest.raises(StateLimitExceeded):
         check_spec(built.woven, spec, max_states=50)
+
+
+def test_a_record_id_past_its_key_field_is_out_of_memory(monkeypatch):
+    """A record id that would not fit its key field raises MemoryError with
+    the states found so far, rather than spill into the next field; with
+    2-bit fields, the fifth record of any process or channel is one too
+    many."""
+    monkeypatch.setattr(checker, "FIELD", 3)
+    built = build_model(corpus_source("2pc_nofault"))
+    with pytest.raises(MemoryError) as exc:
+        check_spec(built.woven, spec_of("G", PBool(True)))
+    assert 0 < exc.value.states < 233
 
 
 # ---------------------------------------------------------------------------

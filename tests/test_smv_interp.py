@@ -4,8 +4,7 @@ tests/smv_interp.py reads the text `sandalc compile` writes and explores it
 on its own.  For every model here its reachable states and edges, with the
 `step` bookkeeping variable projected away, equal the checker's; every
 LTLSPEC's propositional core agrees with `eval_prop` on every reachable
-state, and its verdict is the checker's.  The text has no JUSTICE lines,
-so the interpreter's `fair` setting cannot change that verdict.
+state, and its verdict is the checker's.
 """
 
 import sys
@@ -117,9 +116,7 @@ def test_smv_text_agrees_with_the_checker(name):
         assert ops.replace("GG", "G").replace("FF", "F") == pattern
         for s in reached:
             assert core(s) == eval_prop(prop, of_field[project(s)]), spec.text
-        # The same verdict, with or without the interpreter's fairness.
-        passed = check_spec(cs, spec).passed
-        assert model.holds(k, fair=True) == model.holds(k, fair=False) == passed, spec.text
+        assert model.holds(k) == check_spec(cs, spec).passed, spec.text
 
 
 MINI = """\
