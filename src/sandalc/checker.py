@@ -62,12 +62,12 @@ state reproduces the recorded states exactly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from . import ir
 from .ir import CompiledSystem, ProcessAutomaton, Transition
+from .record import record
 from .sema import PAtom, PBin, PBool, PEnum, PNot, Prop, PTemporal, ResolvedSpec, Value
 from .sema import render_value
 
@@ -381,7 +381,7 @@ class Result(enum.Enum):
     FAIL = "FAIL"
 
 
-@dataclass(frozen=True)
+@record
 class Step:
     proc: int | None  # None for the stutter step
     proc_name: str
@@ -389,14 +389,14 @@ class Step:
     state: GlobalState
 
 
-@dataclass(frozen=True)
+@record
 class Counterexample:
     initial: GlobalState
     prefix: tuple[Step, ...]
     loop: tuple[Step, ...] | None  # None: finite safety trace; else a lasso
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     result: Result
     counterexample: Counterexample | None = None
@@ -517,11 +517,11 @@ class _Collapsed:
             out += [key + delta for delta in deltas]
         return out
 
-    def negation(self, init: int) -> Callable[[int], bool]:
-        """`not eval_prop(prop, state)` as a function of the key of a state
-        reachable from key `init`, memoized on the key's class fields,
-        `key >> top`, so `eval_prop` runs once per valuation of the atoms.  A
-        proposition without atoms has no class field: `key >> top` is 0."""
+    def negation(self) -> Callable[[int], bool]:
+        """`not eval_prop(prop, state)` as a function of a key, memoized on
+        the key's class fields, `key >> top`, so `eval_prop` runs once per
+        valuation of the atoms.  A proposition without atoms has no class
+        field: `key >> top` is 0."""
         prop, decode, memo, top = self.prop, self.decode, self.props, self.top
 
         def notp(key: int) -> bool:
@@ -565,11 +565,15 @@ def _search(space: _Collapsed, init: int, pattern: str, max_states: int) -> Verd
     through !p keys only, so successors where p holds are not kept.  FG and
     GF: a deadlocked !p key.  A key is deadlocked when no process moves from
     it; the path to it, with one stutter step at its state as the loop, is
-    the counterexample.  A MemoryError leaves with the number of states
-    found in its `states` attribute.
+    the counterexample.  A proposition without atoms has one value in every
+    state: G tests it at `init` only, and F prunes no successor (its search
+    ends at once if p holds at `init`).  A MemoryError leaves with the
+    number of states found in its `states` attribute.
     """
-    notp = space.negation(init)
+    notp = space.negation()
     safety, through_notp = pattern == "G", pattern == "F"
+    test_each = safety and (bool(space.atoms) or notp(init))
+    prune = through_notp and bool(space.atoms)
     per_proc, moves_of = space.per_proc, space._moves_of
     parents: dict[int, int | None] = {init: None}
     level = [init] if not through_notp or notp(init) else []
@@ -578,7 +582,7 @@ def _search(space: _Collapsed, init: int, pattern: str, max_states: int) -> Verd
         while level:
             next_level = []
             for key in level:
-                if safety and notp(key):
+                if test_each and notp(key):
                     return _refuted(space, parents, init, key, lasso=False)
                 moved = False
                 for i, shift, mask_of, moves in per_proc:
@@ -590,7 +594,7 @@ def _search(space: _Collapsed, init: int, pattern: str, max_states: int) -> Verd
                         moved = True
                     for delta in deltas:
                         nxt = key + delta
-                        if nxt in parents or through_notp and not notp(nxt):
+                        if nxt in parents or prune and not notp(nxt):
                             continue
                         parents[nxt] = key
                         if len(parents) > max_states:

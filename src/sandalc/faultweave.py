@@ -17,14 +17,13 @@ its `send.fire` edge to the `send.done` edge that leaves the middle location.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .errors import NO_POS
 from .ir import TRUE, CompiledSystem, ProcessAutomaton, Transition
+from .record import record, replace
 from .sema import SystemInstance
 
 
-@dataclass(frozen=True)
+@record
 class WeaveReport:
     shutdown_transitions: dict[str, int]  # process name -> crash edges added
     drop_transitions: dict[str, int]  # channel name -> send sites given a skip edge

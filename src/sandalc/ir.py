@@ -29,13 +29,13 @@ shutdown location comes after it, and a drop edge skips forward over a send.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import sema
 from . import syntax as ast
 from .errors import NO_POS, Pos
 from .pretty import print_expr
+from .record import record
 from .sema import PBin, PBool, PEnum, PNot, SlotInfo, SystemInstance, Value, render, render_value
 
 NORMAL = "normal"
@@ -49,39 +49,39 @@ SHUTDOWN = "shutdown"
 # PBool, PEnum, PNot and PBin, plus these
 
 
-@dataclass(frozen=True)
+@record
 class EVar:
     slot: int
 
 
-@dataclass(frozen=True)
+@record
 class EChanReady:
     chan: int
 
 
-@dataclass(frozen=True)
+@record
 class EChanReceived:
     chan: int
 
 
-@dataclass(frozen=True)
+@record
 class EChanBufItem:
     chan: int
     index: int
 
 
-@dataclass(frozen=True)
+@record
 class EChanNotFull:
     chan: int
     capacity: int
 
 
-@dataclass(frozen=True)
+@record
 class EChanNotEmpty:
     chan: int
 
 
-@dataclass(frozen=True)
+@record
 class EChanHeadItem:
     chan: int
     index: int
@@ -104,13 +104,13 @@ _FAULT_TAGS = {"timeout.fail": TIMEOUT, "drop": DROP, "shutdown": SHUTDOWN}
 # same slot wins
 
 
-@dataclass(frozen=True)
+@record
 class ASetVar:
     slot: int
     value: IrExpr
 
 
-@dataclass(frozen=True)
+@record
 class ABeginSend:
     """ready := true; value buffer := payload."""
 
@@ -118,25 +118,25 @@ class ABeginSend:
     payload: tuple[IrExpr, ...]
 
 
-@dataclass(frozen=True)
+@record
 class AFinishSend:
     """ready := false; received := false; buffer cleared (channel reusable)."""
 
     chan: int
 
 
-@dataclass(frozen=True)
+@record
 class AMarkReceived:
     chan: int
 
 
-@dataclass(frozen=True)
+@record
 class APush:
     chan: int
     payload: tuple[IrExpr, ...]
 
 
-@dataclass(frozen=True)
+@record
 class APop:
     chan: int
 
@@ -151,7 +151,7 @@ _Branch = tuple[IrExpr, tuple[Action, ...], str]
 # Automata
 
 
-@dataclass(frozen=True)
+@record
 class Transition:
     src: int
     dst: int
@@ -172,7 +172,7 @@ class Transition:
         return f"{self.desc}{pos_part} [{self.kind}]"
 
 
-@dataclass(frozen=True)
+@record
 class ProcessAutomaton:
     name: str
     n_locations: int
@@ -187,7 +187,7 @@ class ProcessAutomaton:
         return tuple(slot.zero for slot in self.locals)
 
 
-@dataclass(frozen=True)
+@record
 class CompiledSystem:
     """A system instance together with one automaton per process, in order."""
 

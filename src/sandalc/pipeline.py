@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .checker import CompiledSystem
 from .faultweave import WeaveReport, weave_system
 from .ir import lower_system
 from .parser import parse_source
+from .record import record
 from .sema import SystemInstance, instantiate, resolve_and_check
 
 
-@dataclass(frozen=True)
+@record
 class BuildResult:
     system: SystemInstance
     unwoven: CompiledSystem

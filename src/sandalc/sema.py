@@ -15,11 +15,10 @@ values of the lowered automata (ir.py) add a local read and channel reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import syntax as ast
 from .errors import ArityError, NameResolutionError, Pos, TypeCheckError
 from .pretty import print_expr
+from .record import Fresh, record
 
 Value = bool | str  # runtime values: booleans and enum constructor names
 
@@ -28,7 +27,7 @@ Value = bool | str  # runtime values: booleans and enum constructor names
 # Semantic types
 
 
-@dataclass(frozen=True)
+@record
 class BoolType:
     def __str__(self) -> str:
         return "bool"
@@ -37,7 +36,7 @@ class BoolType:
 BOOL = BoolType()
 
 
-@dataclass(frozen=True)
+@record
 class EnumType:
     name: str
     constructors: tuple[str, ...]
@@ -46,7 +45,7 @@ class EnumType:
         return self.name
 
 
-@dataclass(frozen=True)
+@record
 class ChannelType:
     payload: tuple[BoolType | EnumType, ...]
     capacity: int | None = None  # None: rendezvous
@@ -60,7 +59,7 @@ class ChannelType:
         return f"channel{cap} {{ {', '.join(str(t) for t in self.payload)} }}"
 
 
-@dataclass(frozen=True)
+@record
 class ChannelArrayType:
     elem: ChannelType
 
@@ -82,37 +81,37 @@ def zero_value(ty: ValueType) -> Value:
 # Name bindings recorded for the lowering stage
 
 
-@dataclass(frozen=True)
+@record
 class LocalVar:
     slot: int
     type: ValueType
 
 
-@dataclass(frozen=True)
+@record
 class ChannelParam:
     name: str
     type: ChannelType
 
 
-@dataclass(frozen=True)
+@record
 class ChannelArrayParam:
     name: str
     type: ChannelArrayType
 
 
-@dataclass(frozen=True)
+@record
 class ValueParam:
     name: str
     type: ValueType
 
 
-@dataclass(frozen=True)
+@record
 class LoopChannel:
     for_id: int  # id() of the For node that binds this variable
     type: ChannelType
 
 
-@dataclass(frozen=True)
+@record
 class EnumConst:
     type: EnumType
     ctor: str
@@ -121,7 +120,7 @@ class EnumConst:
 Binding = LocalVar | ChannelParam | ChannelArrayParam | ValueParam | LoopChannel | EnumConst
 
 
-@dataclass(frozen=True)
+@record
 class SlotInfo:
     name: str  # display name, disambiguated when shadowed
     src_name: str
@@ -129,7 +128,7 @@ class SlotInfo:
     zero: Value
 
 
-@dataclass
+@record(frozen=False)
 class TemplateInfo:
     """Symbol tables for one process template, keyed by AST node identity."""
 
@@ -137,22 +136,22 @@ class TemplateInfo:
     params: dict[str, Binding]
     slots: list[SlotInfo]
     body_level: dict[str, int]  # proc-body-level variable name -> slot
-    resolutions: dict[int, Binding] = field(default_factory=dict)  # id(Name) -> binding
-    decl_slots: dict[int, int] = field(default_factory=dict)  # id(VarDecl) -> slot
-    target_slots: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    assign_slots: dict[int, int] = field(default_factory=dict)
+    resolutions: dict[int, Binding] = Fresh(dict)  # id(Name) -> binding
+    decl_slots: dict[int, int] = Fresh(dict)  # id(VarDecl) -> slot
+    target_slots: dict[int, tuple[int, ...]] = Fresh(dict)
+    assign_slots: dict[int, int] = Fresh(dict)
 
 
 # ---------------------------------------------------------------------------
 # Propositions (ltl formulas); all but PAtom and PTemporal are shared with ir
 
 
-@dataclass(frozen=True)
+@record
 class Prop:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class PAtom(Prop):
     proc: int
     slot: int
@@ -161,29 +160,29 @@ class PAtom(Prop):
     type: ValueType
 
 
-@dataclass(frozen=True)
+@record
 class PBool(Prop):
     value: bool
 
 
-@dataclass(frozen=True)
+@record
 class PEnum(Prop):
     ctor: str
 
 
-@dataclass(frozen=True)
+@record
 class PNot(Prop):
     sub: Prop
 
 
-@dataclass(frozen=True)
+@record
 class PBin(Prop):
     op: str  # && || -> == !=
     left: Prop
     right: Prop
 
 
-@dataclass(frozen=True)
+@record
 class PTemporal(Prop):
     op: str  # G | F
     sub: Prop
@@ -213,14 +212,14 @@ def render_value(v: Value) -> str:
 # Checked models and system instances
 
 
-@dataclass(frozen=True)
+@record
 class ChannelDecl:
     name: str
     type: ChannelType
     drop_fault: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class ProcessDecl:
     name: str
     template: str
@@ -229,13 +228,13 @@ class ProcessDecl:
     shutdown_fault: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class ResolvedSpec:
     formula: Prop
     text: str  # rendering of the original formula
 
 
-@dataclass
+@record(frozen=False)
 class CheckedModel:
     enums: dict[str, EnumType]
     constructors: dict[str, EnumType]
@@ -245,7 +244,7 @@ class CheckedModel:
     ltl_specs: tuple[ResolvedSpec, ...]
 
 
-@dataclass(frozen=True)
+@record
 class SystemInstance:
     channels: tuple[ChannelDecl, ...]
     processes: tuple[ProcessDecl, ...]

@@ -22,9 +22,9 @@ needs no separate fault handling.  Emission is byte-deterministic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import ir
+from .record import record
 from .sema import BoolType, EnumType, PAtom, PBool, PEnum, Prop, SystemInstance, Value
 from .sema import render, zero_value
 
@@ -81,7 +81,7 @@ class _Sanitizer:
         return candidate
 
 
-@dataclass(frozen=True)
+@record
 class SmvDocument:
     channel_modules: tuple[tuple[str, str], ...]  # (module name, module text)
     process_modules: tuple[tuple[str, str], ...]

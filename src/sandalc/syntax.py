@@ -1,47 +1,43 @@
 """Parse-tree node definitions.
 
-All nodes are immutable dataclasses.  Source positions are carried for
-diagnostics but excluded from equality, so two trees parsed from differently
-formatted sources compare equal when they describe the same model.
+All nodes are frozen records (record.py).  Source positions are carried for
+diagnostics in a keyword-only `pos` that equality, hashing and repr leave
+out, so two trees parsed from differently formatted sources compare equal
+when they describe the same model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import NO_POS, Pos
-
-
-def _pos_field():
-    return field(default=NO_POS, compare=False, repr=False, kw_only=True)
+from .record import Hidden, record
 
 
 # ---------------------------------------------------------------------------
 # Types (surface syntax level)
 
 
-@dataclass(frozen=True)
+@record
 class TypeNode:
-    pos: Pos = _pos_field()
+    pos: Pos = Hidden(NO_POS)
 
 
-@dataclass(frozen=True)
+@record
 class BoolTypeNode(TypeNode):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class NamedTypeNode(TypeNode):
     name: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class ChanTypeNode(TypeNode):
     payload: tuple[TypeNode, ...] = ()
     capacity: int | None = None  # None: rendezvous; N >= 1: buffered
 
 
-@dataclass(frozen=True)
+@record
 class ChanArrayTypeNode(TypeNode):
     elem: ChanTypeNode = None  # type: ignore[assignment]
 
@@ -50,22 +46,22 @@ class ChanArrayTypeNode(TypeNode):
 # Expressions
 
 
-@dataclass(frozen=True)
+@record
 class Expr:
-    pos: Pos = _pos_field()
+    pos: Pos = Hidden(NO_POS)
 
 
-@dataclass(frozen=True)
+@record
 class BoolLit(Expr):
     value: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class Name(Expr):
     ident: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class Qualified(Expr):
     """Dotted reference `instance.variable`; meaningful only in ltl blocks."""
 
@@ -73,7 +69,7 @@ class Qualified(Expr):
     variable: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class Unary(Expr):
     op: str = "!"
     operand: Expr = None  # type: ignore[assignment]
@@ -84,14 +80,14 @@ class Unary(Expr):
 BINARY_LEVELS = (("->",), ("||",), ("&&",), ("==", "!="))
 
 
-@dataclass(frozen=True)
+@record
 class Binary(Expr):
     op: str = ""  # one of BINARY_LEVELS
     left: Expr = None  # type: ignore[assignment]
     right: Expr = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
+@record
 class Temporal(Expr):
     """G or F applied to a formula; only produced inside ltl blocks."""
 
@@ -99,7 +95,7 @@ class Temporal(Expr):
     operand: Expr = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
+@record
 class RecvExpr(Expr):
     """timeout_recv / nonblock_recv; boolean-valued receive with targets."""
 
@@ -108,7 +104,7 @@ class RecvExpr(Expr):
     targets: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class ArrayLit(Expr):
     """[a, b, ...]; legal only as a process-instantiation argument."""
 
@@ -119,37 +115,37 @@ class ArrayLit(Expr):
 # Statements
 
 
-@dataclass(frozen=True)
+@record
 class Stmt:
-    pos: Pos = _pos_field()
+    pos: Pos = Hidden(NO_POS)
 
 
-@dataclass(frozen=True)
+@record
 class Block:
     stmts: tuple[Stmt, ...] = ()
-    pos: Pos = _pos_field()
+    pos: Pos = Hidden(NO_POS)
 
 
-@dataclass(frozen=True)
+@record
 class VarDecl(Stmt):
     name: str = ""
     type: TypeNode = None  # type: ignore[assignment]
     init: Expr | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Assign(Stmt):
     name: str = ""
     value: Expr = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
+@record
 class Send(Stmt):
     channel: Expr = None  # type: ignore[assignment]
     values: tuple[Expr, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class Recv(Stmt):
     """A receive statement: recv, or peek, which leaves the message in its
     buffered channel."""
@@ -159,26 +155,26 @@ class Recv(Stmt):
     targets: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class If(Stmt):
     cond: Expr = None  # type: ignore[assignment]
     then: Block = None  # type: ignore[assignment]
     els: Block | None = None
 
 
-@dataclass(frozen=True)
+@record
 class For(Stmt):
     var: str = ""
     iterable: Expr = None  # type: ignore[assignment]
     body: Block = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
+@record
 class Choice(Stmt):
     blocks: tuple[Block, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class ExprStmt(Stmt):
     expr: Expr = None  # type: ignore[assignment]
 
@@ -187,58 +183,58 @@ class ExprStmt(Stmt):
 # Declarations
 
 
-@dataclass(frozen=True)
+@record
 class Param:
     name: str = ""
     type: TypeNode = None  # type: ignore[assignment]
-    pos: Pos = _pos_field()
+    pos: Pos = Hidden(NO_POS)
 
 
-@dataclass(frozen=True)
+@record
 class DataDecl:
     name: str = ""
     constructors: tuple[str, ...] = ()
-    pos: Pos = _pos_field()
+    pos: Pos = Hidden(NO_POS)
 
 
-@dataclass(frozen=True)
+@record
 class ProcTemplate:
     name: str = ""
     params: tuple[Param, ...] = ()
     body: Block = None  # type: ignore[assignment]
-    pos: Pos = _pos_field()
+    pos: Pos = Hidden(NO_POS)
 
 
-@dataclass(frozen=True)
+@record
 class ProcessInstantiation:
     template: str = ""
     args: tuple[Expr, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class ChannelInstantiation:
     type: ChanTypeNode = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
+@record
 class InitEntry:
     name: str = ""
     payload: ProcessInstantiation | ChannelInstantiation = None  # type: ignore[assignment]
     markers: frozenset[str] = frozenset()  # subset of {"shutdown", "drop"}
-    pos: Pos = _pos_field()
+    pos: Pos = Hidden(NO_POS)
 
     @property
     def is_process(self) -> bool:
         return isinstance(self.payload, ProcessInstantiation)
 
 
-@dataclass(frozen=True)
+@record
 class LtlSpec:
     formula: Expr = None  # type: ignore[assignment]
-    pos: Pos = _pos_field()
+    pos: Pos = Hidden(NO_POS)
 
 
-@dataclass(frozen=True)
+@record
 class ModelAST:
     data_decls: tuple[DataDecl, ...] = ()
     proc_decls: tuple[ProcTemplate, ...] = ()

@@ -1,6 +1,5 @@
 import sys
 from collections import deque
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -28,6 +27,7 @@ from sandalc.checker import (
 )
 from sandalc.corpus import MODEL_NAMES, corpus_source
 from sandalc.pipeline import build_model
+from sandalc.record import replace
 from sandalc.sema import PAtom, PBin, PBool, PEnum, PNot, PTemporal, ResolvedSpec
 
 from oracles import build_graph, naive_verdict
@@ -89,9 +89,9 @@ def test_two_phase_commit_initial_resp_is_first_constructor():
     def walk(p):
         if isinstance(p, PAtom):
             atoms[(p.proc_name, p.var_name)] = p
-        for name in getattr(p, "__dataclass_fields__", {}):
+        for name in getattr(p, "__record_fields__", {}):
             child = getattr(p, name)
-            if hasattr(child, "__dataclass_fields__"):
+            if hasattr(child, "__record_fields__"):
                 walk(child)
 
     walk(formula)
@@ -368,6 +368,29 @@ def test_states_explored_counts_discovered_states(formula):
     assert verdict.states_explored == 6_680
 
 
+def test_a_proposition_without_atoms_is_read_once(monkeypatch):
+    """`G (true)` searches every state yet reads p once; `G (false)` fails
+    at the initial state, before any successor is counted; `F (false)`
+    reads p once on its way to a deadlock."""
+    calls = []
+    negation = checker._Collapsed.negation
+
+    def counted(space):
+        notp = negation(space)
+        return lambda key: calls.append(key) or notp(key)
+
+    monkeypatch.setattr(checker._Collapsed, "negation", counted)
+    _, holds = checked(corpus_source("2pc_allfaults"), "G (true)")
+    assert (holds.passed, holds.states_explored, len(calls)) == (True, 6_680, 1)
+    _, fails = checked(corpus_source("2pc_allfaults"), "G (false)")
+    assert (fails.passed, fails.states_explored) == (False, 1)
+    assert fails.counterexample.prefix == () and fails.counterexample.loop is None
+    calls.clear()
+    _, never = checked(corpus_source("2pc_allfaults"), "F (false)")
+    assert (never.passed, len(calls)) == (False, 1)
+    assert never.counterexample.loop is not None
+
+
 COLLAPSE_MODELS = {
     **{f"corpus/{name}": corpus_source(name) for name in MODEL_NAMES},
     **{f"golden/{name}": (GOLDEN / name).read_text() for name in ("conditions.sandal", "faults.sandal")},
@@ -428,7 +451,7 @@ def test_proposition_memo_runs_once_per_atom_valuation(name, monkeypatch):
     for prop in _props_over_locals(cs):
         calls.clear()
         space = checker._Collapsed(cs, prop)
-        notp = space.negation(space.encode(init))
+        notp = space.negation()
         atoms = sorted(checker._atoms(prop))
         valuations = set()
         for state in graph:

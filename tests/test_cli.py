@@ -503,3 +503,13 @@ def test_console_script_smoke(paths):
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    """Record classes are built without `dataclasses`, and so without the
+    `inspect` it imports; a fresh interpreter importing the CLI loads neither."""
+    probe = "import sys, sandalc.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_SRC_ENV, timeout=120
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

@@ -14,7 +14,6 @@ for an intended change of output, with
 and review the diff.
 """
 
-import dataclasses
 import hashlib
 import json
 import sys
@@ -106,12 +105,12 @@ def test_no_woven_edge_has_two_actions_on_one_channel():
 
 
 def _nodes(value):
-    """A value and everything under it, walked through dataclass fields and
-    tuples."""
+    """A value and everything under it, walked through record fields (pos
+    included) and tuples."""
     yield value
-    if dataclasses.is_dataclass(value):
-        for field in dataclasses.fields(value):
-            yield from _nodes(getattr(value, field.name))
+    if hasattr(value, "__record_fields__"):
+        for field in value.__record_fields__:
+            yield from _nodes(getattr(value, field))
     elif isinstance(value, tuple):
         for item in value:
             yield from _nodes(item)

@@ -1,0 +1,105 @@
+"""Value semantics of the compiler's record classes (sandalc.record).
+
+Equality, hashing and repr read the fields; a parse-tree node's `pos` is
+keyword-only and none of the three read it.  Equality is class-sensitive,
+and the hash is that of the tuple of compared fields, so set and dict order
+over records does not depend on how the classes are built.
+"""
+
+import pytest
+
+from sandalc import ir, sema, syntax
+from sandalc.errors import NO_POS, Pos
+from sandalc.record import replace
+
+
+def _atom():
+    return sema.PAtom(0, 1, "p", "v", sema.BOOL)
+
+
+def test_eq_and_hash_ignore_pos_and_repr_omits_it():
+    a, b = syntax.Name("x", pos=Pos(1, 2)), syntax.Name("x", pos=Pos(3, 4))
+    assert a == b and hash(a) == hash(b) and a.pos == Pos(1, 2)
+    assert repr(a) == "Name(ident='x')"
+    assert syntax.Name("x") != syntax.Name("y")
+    block = syntax.Block((syntax.ExprStmt(a, pos=Pos(1, 1)),), pos=Pos(9, 9))
+    assert block == syntax.Block((syntax.ExprStmt(b),))
+    assert repr(block) == "Block(stmts=(ExprStmt(expr=Name(ident='x')),))"
+    assert repr(syntax.BoolTypeNode(pos=Pos(1, 1))) == "BoolTypeNode()"
+
+
+def test_repr_and_hash_read_the_fields_in_order():
+    prop = sema.PBin("&&", sema.PBool(True), _atom())
+    assert repr(prop) == (
+        "PBin(op='&&', left=PBool(value=True), right=PAtom(proc=0, slot=1,"
+        " proc_name='p', var_name='v', type=BoolType()))"
+    )
+    assert hash(ir.EChanBufItem(2, 1)) == hash((2, 1))
+    assert hash(sema.BOOL) == hash(()) and sema.BoolType() == sema.BOOL
+    assert syntax.ChanTypeNode() == syntax.ChanTypeNode(payload=(), capacity=None)
+
+
+def test_equality_is_class_sensitive():
+    assert ir.EChanReady(0) == ir.EChanReady(0)
+    assert ir.EChanReady(0) != ir.EChanReceived(0)
+    assert ir.AFinishSend(0) != ir.APop(0)
+    assert len({ir.EChanReady(0), ir.EChanReceived(0)}) == 2
+    assert len({ir.AFinishSend(3), ir.APop(3)}) == 2
+    assert ir.EVar(0) != (0,) and sema.BOOL != ()
+
+
+def test_frozen_assignment_raises():
+    name = syntax.Name("x")
+    t = ir.Transition(0, 1, ir.TRUE, (), "k", "d", NO_POS)
+    for obj, field in ((name, "ident"), (name, "pos"), (t, "dst"), (_atom(), "slot")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+    assert name.ident == "x" and t.dst == 1
+    assert t.label == "d [k]" and t.__dict__["label"] == "d [k]"  # cached_property
+
+
+def test_template_info_is_mutable_unhashable_with_fresh_tables():
+    template = syntax.ProcTemplate("T")
+    a = sema.TemplateInfo(template, {}, [], {})
+    b = sema.TemplateInfo(template, {}, [], {})
+    for table in ("resolutions", "decl_slots", "target_slots", "assign_slots"):
+        assert getattr(a, table) == {} and getattr(a, table) is not getattr(b, table)
+    a.resolutions[1] = sema.LocalVar(0, sema.BOOL)
+    assert b.resolutions == {} and a != b
+    given = {2: 3}
+    assert sema.TemplateInfo(template, {}, [], {}, decl_slots=given).decl_slots is given
+    a.slots = [None]
+    assert a.slots == [None]
+    with pytest.raises(TypeError):
+        hash(a)
+    with pytest.raises(TypeError):
+        hash(sema.CheckedModel({}, {}, {}, (), (), ()))
+
+
+def test_pos_is_keyword_only():
+    with pytest.raises(TypeError):
+        syntax.Name("x", Pos(1, 1))
+    with pytest.raises(TypeError):
+        syntax.Block((), Pos(1, 1))
+    with pytest.raises(TypeError):
+        syntax.Param("p", syntax.BoolTypeNode(), Pos(1, 1))
+    assert syntax.BoolLit().value is False and syntax.BoolLit().pos == NO_POS
+    assert syntax.Param("p", pos=Pos(2, 3)).pos == Pos(2, 3)
+    # A Transition's pos is an ordinary field: positional, compared, shown.
+    t = ir.Transition(0, 1, ir.TRUE, (), "k", "d", Pos(1, 1))
+    assert t != ir.Transition(0, 1, ir.TRUE, (), "k", "d", Pos(2, 2))
+    assert repr(t).endswith("pos=Pos(line=1, col=1))")
+
+
+def test_replace_keeps_the_untouched_fields_and_pos():
+    recv = syntax.Recv("peek", syntax.Name("c"), ("a",), pos=Pos(4, 5))
+    changed = replace(recv, targets=("b",))
+    assert type(changed) is syntax.Recv and changed.pos == Pos(4, 5)
+    assert changed == syntax.Recv("peek", syntax.Name("c"), ("b",))
+    assert replace(recv, pos=Pos(6, 7)).pos == Pos(6, 7) and recv.pos == Pos(4, 5)
+    automaton = ir.ProcessAutomaton("w", 2, 0, 1, (), (), shutdown_loc=None)
+    assert replace(automaton, shutdown_loc=1) == ir.ProcessAutomaton("w", 2, 0, 1, (), (), 1)
+    with pytest.raises(TypeError):
+        replace(recv, no_such_field=1)

@@ -126,7 +126,7 @@ def test_ltl_atoms_resolve_to_process_and_slot():
         if isinstance(p, PAtom):
             atoms.append(p)
         for child in getattr(p, "__dict__", {}).values():
-            if hasattr(child, "__dataclass_fields__"):
+            if hasattr(child, "__record_fields__"):
                 walk(child)
 
     walk(formula)
