@@ -9,16 +9,17 @@ synthetic ones inside comma-separated lists.
 
 Comments run from "//" to end of line and are discarded.
 
-tokenize makes one anchored match of _TOKEN per token or newline, at the
-offset where the previous match ended.  The match first skips the blanks and
-at most one comment before the token: a comment runs to the newline, which is
-a match of its own, so no more than one can come between two tokens.  The
-skip, `[ \t\r]*(?://[^\n]*)?`, has no nested quantifier, so it can be read
-only one way and never backtracks; `(?:[ \t\r]+|//[^\n]*)*` would try
+tokenize walks the matches of _TOKEN in order, one per token or newline,
+each starting where the previous one ended.  A match first skips the blanks
+and at most one comment before the token: a comment runs to the newline,
+which is a match of its own, so no more than one can come between two tokens.
+The skip, `[ \t\r]*(?://[^\n]*)?`, has no nested quantifier, so it can be
+read only one way and never backtracks; `(?:[ \t\r]+|//[^\n]*)*` would try
 exponentially many ways to split a long run of blanks before failing.  The
-last alternatives match the end of input and any illegal character, so every
-match succeeds and a line of blanks costs one pass.  Possessive and atomic
-groups would say the same, but they need Python 3.11.
+last alternatives match the end of input and any illegal character, so a
+match starts at every offset, finditer skips no text, and a line of blanks
+costs one pass.  Possessive and atomic groups would say the same, but they
+need Python 3.11.
 """
 
 from __future__ import annotations
@@ -114,28 +115,26 @@ def tokenize(source: str) -> list[Token]:
     """
     tokens: list[Token] = []
     append = tokens.append
-    match = _TOKEN.match
+    new = tuple.__new__  # Token's own __new__ is a Python frame per token
     line = 1
     line_start = 0  # offset of the current line's first character
-    end = 0
     ends_statement = False  # whether a newline here would insert ";"
-    while True:
-        m = match(source, end)
+    for m in _TOKEN.finditer(source):
         group = m.lastgroup
         end = m.end()
         text = m[group]
         col = end - len(text) - line_start + 1
         if group == "newline":
             if ends_statement:
-                append(Token(TokenKind.PUNCT, ";", line, col, True))
+                append(new(Token, (TokenKind.PUNCT, ";", line, col, True)))
                 ends_statement = False
             line += 1
             line_start = end
             continue
         if group == "EOF":
             if ends_statement:
-                append(Token(TokenKind.PUNCT, ";", line, col, True))
-            append(Token(TokenKind.EOF, "", line, col))
+                append(new(Token, (TokenKind.PUNCT, ";", line, col, True)))
+            append(new(Token, (TokenKind.EOF, "", line, col, False)))
             return tokens
         if group == "illegal":
             raise LexError(f"illegal character {text!r}", Pos(line, col))
@@ -150,5 +149,5 @@ def tokenize(source: str) -> list[Token]:
                 f"unknown fault marker '{text}' (expected @shutdown or @drop)",
                 Pos(line, col),
             )
-        append(Token(kind, text, line, col))
+        append(new(Token, (kind, text, line, col, False)))
         ends_statement = kind in _ASI_KINDS or text in _ASI_TEXTS

@@ -14,6 +14,13 @@ text is linear in transitions plus writes.  No fairness constraint is
 emitted: the automata are acyclic, so every infinite path ends in the
 stutter, where no process is enabled.
 
+main_module walks each process's transitions once, writing a transition's
+`en_<pid>_<k>` DEFINE line and TRANS disjunct and adding its step symbol to
+the keep rules of the fields it writes.  It allocates those names as it goes,
+in (process, k) order, and `t_none` after them.  A user name may take any of
+them, and the collision suffix then depends on that order, so the order is
+part of the output (tests/test_smv.py pins it).
+
 Guards, values and ltl formulas print through sema.render and the emitter's
 leaf tables.  Faults are already present in the woven automata, so the output
 needs no separate fault handling.  Emission is byte-deterministic.
@@ -25,7 +32,7 @@ import re
 
 from . import ir
 from .record import record
-from .sema import BoolType, EnumType, PAtom, PBool, PEnum, Prop, SystemInstance, Value
+from .sema import BoolType, EnumType, PAtom, PBool, PEnum, SystemInstance, Value
 from .sema import render, zero_value
 
 
@@ -65,6 +72,13 @@ class _Sanitizer:
         candidate = self.fresh(original)
         self.mapping[original] = candidate
         return candidate
+
+    def take(self, name: str) -> str:
+        """Allocate the identifier `name` as is when free, else as `fresh` would."""
+        if name in self.used or name in _RESERVED:
+            return self.fresh(name)
+        self.used.add(name)
+        return name
 
     def fresh(self, original: str) -> str:
         """Allocate a unique name without consulting the memo (for names the
@@ -107,31 +121,24 @@ class _Emitter:
                 self.ctor_names.name(ctor)
         self.chan_ids = [self.instance_names.name(c.name) for c in system.channels]
         self.proc_ids = [self.instance_names.name(p.name) for p in system.processes]
-        self.var_ids: list[dict[int, str]] = []
+        self.var_ids: list[list[str]] = []
+        self.loc_syms: list[list[str]] = []  # per process, indexed by location
         for automaton in automata:
             names = _Sanitizer()
             names.used.add("loc")
-            self.var_ids.append(
-                {slot: names.name(info.name) for slot, info in enumerate(automaton.locals)}
-            )
+            self.var_ids.append([names.name(info.name) for info in automaton.locals])
+            locs = [f"l{loc}" for loc in range(automaton.n_locations)]
+            if automaton.shutdown_loc is not None:
+                locs[automaton.shutdown_loc] = "shutdown"
+            self.loc_syms.append(locs)
         # Bookkeeping names in main share a namespace with the instances;
         # scheduler symbols share the symbolic-constant namespace with the
         # enum constructors.
-        aux = self.instance_names
-        self.step_var = aux.fresh("step")
-        self.any_enabled = aux.fresh("any_enabled")
-        self.en_ids = {
-            (proc, k): aux.fresh(f"en_{self.proc_ids[proc]}_{k}")
-            for proc, automaton in enumerate(automata)
-            for k in range(len(automaton.transitions))
-        }
-        self.step_syms = {
-            key: self.ctor_names.fresh(f"t_{self.proc_ids[key[0]]}_{key[1]}")
-            for key in self.en_ids
-        }
-        self.step_none = self.ctor_names.fresh("t_none")
+        self.step_var = self.instance_names.fresh("step")
+        self.any_enabled = self.instance_names.fresh("any_enabled")
         # Leaf spellings for sema.render: one guard table per process, whose
-        # locals read as `pid.var`, and one ltl table.  No leaf refers to
+        # locals read as `pid.var`, and one ltl table, whose atoms name any
+        # process (there `!` parenthesizes its operand).  No leaf refers to
         # self: that cycle would keep each emitter alive until a collection.
         ctor, chans = self.ctor_names.name, self.chan_ids
         pids, var_ids = self.proc_ids, self.var_ids
@@ -165,18 +172,9 @@ class _Emitter:
             return "TRUE" if value else "FALSE"
         return self.ctor_names.name(value)
 
-    def loc_symbol(self, proc: int, loc: int) -> str:
-        if self.automata[proc].shutdown_loc == loc:
-            return "shutdown"
-        return f"l{loc}"
-
     def expr(self, e: ir.IrExpr, proc: int) -> str:
         """A guard or value: a local of `proc` is `pid.var`, `!` binds bare."""
         return render(e, self.guard_spell[proc], _BINARY_OPS, "!{}")
-
-    def prop(self, p: Prop) -> str:
-        """An ltl formula: atoms name any process, `!` parenthesizes."""
-        return render(p, self.ltl_spell, _BINARY_OPS, "!({})")
 
     # -- state fields, one table per component
 
@@ -196,12 +194,11 @@ class _Emitter:
         ]
 
     def process_fields(self, proc: int) -> list[_Field]:
-        automaton = self.automata[proc]
-        locs = ", ".join(self.loc_symbol(proc, loc) for loc in range(automaton.n_locations))
-        loc = ("loc", f"{{{locs}}}", f"loc = {self.loc_symbol(proc, automaton.entry)}")
+        automaton, locs = self.automata[proc], self.loc_syms[proc]
+        loc = ("loc", "{" + ", ".join(locs) + "}", f"loc = {locs[automaton.entry]}")
         return [loc] + [
-            self.value_field(self.var_ids[proc][slot], info.type)
-            for slot, info in enumerate(automaton.locals)
+            self.value_field(var, info.type)
+            for var, info in zip(self.var_ids[proc], automaton.locals)
         ]
 
     def components(self) -> list[tuple[str, str, list[_Field]]]:
@@ -218,8 +215,8 @@ class _Emitter:
     # -- transition effects
 
     def _effects(self, proc: int, t: ir.Transition) -> dict[str, str]:
-        """Next-state value per field the transition writes."""
-        writes: dict[str, str] = {f"{self.proc_ids[proc]}.loc": self.loc_symbol(proc, t.dst)}
+        """Next-state value per field the transition's actions write."""
+        writes: dict[str, str] = {}
         for action in t.actions:
             if isinstance(action, ir.ASetVar):
                 field = f"{self.proc_ids[proc]}.{self.var_ids[proc][action.slot]}"
@@ -259,47 +256,46 @@ class _Emitter:
     # -- main module
 
     def main_module(self, components, specs: tuple[str, ...]) -> str:
-        step = self.step_var
+        step, en_names, sym_names = self.step_var, self.instance_names, self.ctor_names
+        writers: dict[str, list[str]] = {
+            f"{instance}.{field}": [] for instance, _, fields in components for field, *_ in fields
+        }
+        defines, ens, syms, trans = [], [], [], ["  TRANS"]
+        for proc, automaton in enumerate(self.automata):
+            pid, locs, spell = self.proc_ids[proc], self.loc_syms[proc], self.guard_spell[proc]
+            loc_writers = writers[f"{pid}.loc"]
+            for k, t in enumerate(automaton.transitions):
+                en = en_names.take(f"en_{pid}_{k}")
+                sym = sym_names.take(f"t_{pid}_{k}")
+                guard = render(t.guard, spell, _BINARY_OPS, "!{}")
+                defines.append(f"    {en} := {pid}.loc = {locs[t.src]} & {guard};")
+                loc_writers.append(sym)
+                disjunct = f"      (next({step}) = {sym} & {en} & next({pid}.loc) = {locs[t.dst]}"
+                if t.actions:
+                    for field, value in self._effects(proc, t).items():
+                        writers[field].append(sym)
+                        disjunct += f" & next({field}) = {value}"
+                trans += (disjunct + ")", "    |")
+                ens.append(en)
+                syms.append(sym)
+        step_none = sym_names.fresh("t_none")
+        syms.append(step_none)
+        trans.append(f"      (next({step}) = {step_none} & !{self.any_enabled});")
+        for field, writing in writers.items():
+            keep = f"next({field}) = {field}"
+            if writing:
+                keep = f"next({step}) in {{{', '.join(writing)}}} | {keep}"
+            trans.append(f"  TRANS {keep};")
         lines = ["MODULE main", "  VAR"]
         lines += [f"    {instance} : {name};" for instance, name, _ in components]
-        symbols = ", ".join([*self.step_syms.values(), self.step_none])
-        lines.append(f"    {step} : {{{symbols}}};")
-        lines.append(f"  INIT {step} = {self.step_none};")
-
-        lines.append("  DEFINE")
-        for proc, automaton in enumerate(self.automata):
-            pid = self.proc_ids[proc]
-            for k, t in enumerate(automaton.transitions):
-                src = self.loc_symbol(proc, t.src)
-                guard = self.expr(t.guard, proc)
-                lines.append(
-                    f"    {self.en_ids[proc, k]} := {pid}.loc = {src} & {guard};"
-                )
-        any_enabled = " | ".join(self.en_ids.values()) or "FALSE"
-        lines.append(f"    {self.any_enabled} := {any_enabled};")
-
-        writers: dict[str, list[str]] = {
-            f"{instance}.{field}": []
-            for instance, _, fields in components
-            for field, _, _ in fields
-        }
-        disjuncts = []
-        for (proc, k), sym in self.step_syms.items():
-            conj = [f"next({step}) = {sym}", self.en_ids[proc, k]]
-            for field, value in self._effects(proc, self.automata[proc].transitions[k]).items():
-                writers[field].append(sym)
-                conj.append(f"next({field}) = {value}")
-            disjuncts.append("      (" + " & ".join(conj) + ")")
-        disjuncts.append(f"      (next({step}) = {self.step_none} & !{self.any_enabled})")
-        lines.append("  TRANS")
-        lines.append("\n    |\n".join(disjuncts) + ";")
-        for field, syms in writers.items():
-            keep = f"next({field}) = {field}"
-            if syms:
-                keep = f"next({step}) in {{{', '.join(syms)}}} | {keep}"
-            lines.append(f"  TRANS {keep};")
-        lines.extend(f"  {spec}" for spec in specs)
-        return "\n".join(lines) + "\n"
+        lines.append(f"    {step} : {{{', '.join(syms)}}};")
+        lines += (f"  INIT {step} = {step_none};", "  DEFINE")
+        lines += defines
+        lines.append(f"    {self.any_enabled} := {' | '.join(ens) or 'FALSE'};")
+        lines += trans
+        lines += [f"  {spec}" for spec in specs]
+        lines.append("")  # so the text ends in a newline
+        return "\n".join(lines)
 
 
 def module(name: str, fields: list[_Field]) -> tuple[str, str]:
@@ -315,7 +311,10 @@ def emit_smv(system: SystemInstance, automata) -> SmvDocument:
     emitter = _Emitter(system, tuple(automata))
     components = emitter.components()
     modules = tuple(module(name, fields) for _, name, fields in components)
-    specs = tuple(f"LTLSPEC {emitter.prop(spec.formula)};" for spec in system.ltl_specs)
+    specs = tuple(
+        f"LTLSPEC {render(spec.formula, emitter.ltl_spell, _BINARY_OPS, '!({})')};"
+        for spec in system.ltl_specs
+    )
     n_chans = len(system.channels)
     return SmvDocument(
         channel_modules=modules[:n_chans],

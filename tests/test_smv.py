@@ -109,20 +109,73 @@ def test_bookkeeping_names_dodge_user_names():
         "data V { t_none, t_p_0 }\n"
         "proc P(c channel { V }) { send(c, t_p_0) }\n"
         "init { step: channel { V }, any_enabled: channel { V },\n"
-        "  p: P(step), enabled_p: P(any_enabled) }"
+        "  p: P(step), en_p_0: P(any_enabled) }"
     )
     doc = emit(source)
     main = doc.main_module
     declared = re.findall(r"^\s{4}(\w+) :=? ", main, re.M)
     assert len(declared) == len(set(declared))
-    assert {"step", "any_enabled", "p", "enabled_p"} <= set(declared)
+    assert {"step", "any_enabled", "p", "en_p_0"} <= set(declared)
     [(step_var, symbols)] = re.findall(r"^\s{4}(\w+) : \{(.*)\};$", main, re.M)
-    assert step_var not in ("step", "any_enabled", "p", "enabled_p")
+    assert step_var not in ("step", "any_enabled", "p", "en_p_0")
     symbols = symbols.split(", ")
     assert len(symbols) == len(set(symbols))
     assert not {"t_none", "t_p_0"} & set(symbols)
     assert "{t_none, t_p_0}" in doc.channel_modules[0][1]
     assert f"INIT {step_var} = {symbols[-1]};" in main
+
+
+def test_name_allocation_order_is_pinned():
+    """`en_` names are allocated in (process, k) order after the instances,
+    and the `t_` symbols before `t_none`, so every collision suffix is fixed."""
+    source = (
+        "data V { t_none, b }\n"
+        "proc P(c channel { V }) {\n  send(c, t_none)\n  send(c, b)\n}\n"
+        "init { en_none_0: channel { V }, none: P(en_none_0) }\n"
+    )
+    lines = emit(source).main_module.splitlines()
+    assert [line.split(" := ")[0].strip() for line in lines if " := none.loc" in line] == [
+        "en_none_0_2", "en_none_1", "en_none_2", "en_none_3"
+    ]
+    assert "    step : {t_none_0, t_none_1, t_none_2, t_none_3, t_none_4};" in lines
+    assert "  INIT step = t_none_4;" in lines
+
+
+def _keep_rule_sources():
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    from models import family_member
+
+    sources = [pytest.param(corpus_source(name), id=name) for name in MODEL_NAMES]
+    sources.append(pytest.param((GOLDEN / "conditions.sandal").read_text(), id="conditions"))
+    return sources + [pytest.param(family_member(3, "allfaults"), id="n3-allfaults")]
+
+
+@pytest.mark.parametrize("source", _keep_rule_sources())
+def test_keep_rules_name_exactly_the_writers(source):
+    """Each state field keeps its value unless `next(step)` is one of the
+    step symbols whose TRANS disjunct assigns `next(field)`, no more, no less."""
+    doc = emit(source)
+    main = doc.main_module
+    fields_of = {
+        name: re.findall(r"^    (\w+) : ", text, re.M)
+        for name, text in doc.channel_modules + doc.process_modules
+    }
+    fields = [
+        f"{instance}.{field}"
+        for instance, name in re.findall(r"^    (\w+) : (\w+);$", main, re.M)
+        for field in fields_of[name]
+    ]
+    writes = {
+        sym: re.findall(r"next\(([\w.]+)\) = ", rest)
+        for sym, rest in re.findall(r"^      \(next\(step\) = (\w+) & (.*)\);?$", main, re.M)
+    }
+    assert len(writes) == main.count("\n    |\n") + 1  # every disjunct, the stutter too
+    keep = r"^  TRANS (?:next\(step\) in \{(.*)\} \| )?next\(([\w.]+)\) = \2;$"
+    keeps = re.findall(keep, main, re.M)
+    assert [field for _, field in keeps] == fields
+    for syms, field in keeps:
+        writers = [sym for sym, written in writes.items() if field in written]
+        assert (syms.split(", ") if syms else []) == writers, field
 
 
 def test_non_ascii_names_become_distinct_ascii_identifiers():
