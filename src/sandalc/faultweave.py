@@ -20,7 +20,7 @@ from __future__ import annotations
 from .errors import NO_POS
 from .ir import TRUE, CompiledSystem, ProcessAutomaton, Transition
 from .record import record, replace
-from .sema import SystemInstance
+from .sema import CheckedModel
 
 
 @record
@@ -55,7 +55,7 @@ def weave_shutdown(automaton: ProcessAutomaton) -> ProcessAutomaton:
 
 
 def weave_drop(
-    system: SystemInstance, automata: tuple[ProcessAutomaton, ...]
+    system: CheckedModel, automata: tuple[ProcessAutomaton, ...]
 ) -> tuple[tuple[ProcessAutomaton, ...], dict[str, int]]:
     """Give every send over a dropped channel a skip edge. Returns counts per channel."""
     counts = {chan.name: 0 for chan in system.channels if chan.drop_fault}

@@ -36,7 +36,7 @@ from . import syntax as ast
 from .errors import NO_POS, Pos
 from .pretty import print_expr
 from .record import record
-from .sema import PBin, PBool, PEnum, PNot, SlotInfo, SystemInstance, Value, render, render_value
+from .sema import CheckedModel, PBin, PBool, PEnum, PNot, SlotInfo, Value, render, render_value
 
 NORMAL = "normal"
 TIMEOUT = "timeout"
@@ -189,9 +189,9 @@ class ProcessAutomaton:
 
 @record
 class CompiledSystem:
-    """A system instance together with one automaton per process, in order."""
+    """A checked model together with one automaton per process, in order."""
 
-    instance: SystemInstance
+    instance: CheckedModel
     automata: tuple[ProcessAutomaton, ...]
 
 
@@ -204,7 +204,7 @@ _Edge = tuple[int, int, IrExpr, tuple[Action, ...], str, str, Pos]
 
 
 class _Lowerer:
-    def __init__(self, system: SystemInstance, proc: sema.ProcessDecl) -> None:
+    def __init__(self, system: CheckedModel, proc: sema.ProcessDecl) -> None:
         self.system = system
         self.proc = proc
         self.info = system.template_info(proc)
@@ -230,20 +230,16 @@ class _Lowerer:
     # -- name resolution against the instantiated bindings
 
     def channel_of(self, expr: ast.Expr) -> int:
-        binding = self.info.resolutions[id(expr)]
-        if isinstance(binding, sema.ChannelParam):
-            bound = self.proc.chan_bindings[binding.name]
-            assert isinstance(bound, int)
-            return bound
-        assert isinstance(binding, sema.LoopChannel)
-        return self.loop_env[binding.for_id]
+        binding = self.info.resolved[id(expr)]
+        if isinstance(binding, sema.LoopChannel):
+            return self.loop_env[binding.for_id]
+        assert isinstance(binding.type, sema.ChannelType)
+        return self.proc.chan_bindings[binding.name]
 
     def channel_list_of(self, expr: ast.Expr) -> tuple[int, ...]:
-        binding = self.info.resolutions[id(expr)]
-        assert isinstance(binding, sema.ChannelArrayParam)
-        bound = self.proc.chan_bindings[binding.name]
-        assert isinstance(bound, tuple)
-        return bound
+        binding = self.info.resolved[id(expr)]
+        assert isinstance(binding.type, sema.ChannelArrayType)
+        return self.proc.chan_bindings[binding.name]
 
     def chan_name(self, chan: int) -> str:
         return self.system.channels[chan].name
@@ -255,10 +251,10 @@ class _Lowerer:
         if isinstance(expr, ast.BoolLit):
             return PBool(expr.value)
         if isinstance(expr, ast.Name):
-            binding = self.info.resolutions[id(expr)]
+            binding = self.info.resolved[id(expr)]
             if isinstance(binding, sema.LocalVar):
                 return EVar(binding.slot)
-            if isinstance(binding, sema.ValueParam):
+            if isinstance(binding, sema.Param):
                 return _const_to_expr(self.proc.const_bindings[binding.name])
             assert isinstance(binding, sema.EnumConst)
             return PEnum(binding.ctor)
@@ -279,7 +275,7 @@ class _Lowerer:
         if isinstance(stmt, ast.VarDecl):
             self.lower_var(stmt, entry, exit_)
         elif isinstance(stmt, ast.Assign):
-            slot = self.info.assign_slots[id(stmt)]
+            slot = self.info.resolved[id(stmt)].slot
             self.lower_store(slot, stmt.value, stmt.name, "assign", stmt.pos, entry, exit_)
         elif isinstance(stmt, ast.Send):
             self.lower_send(stmt, entry, exit_)
@@ -299,7 +295,7 @@ class _Lowerer:
             self.add(entry, exit_, TRUE, (), "expr", print_expr(stmt.expr), stmt.pos)
 
     def lower_var(self, stmt: ast.VarDecl, entry: int, exit_: int) -> None:
-        slot = self.info.decl_slots[id(stmt)]
+        slot = self.info.resolved[id(stmt)].slot
         lhs = f"var {stmt.name}"
         if stmt.init is not None:
             self.lower_store(slot, stmt.init, lhs, "var", stmt.pos, entry, exit_)
@@ -354,7 +350,7 @@ class _Lowerer:
         """recv, or peek: the buffered recv without its trailing pop (sema
         rejects a peek on a rendezvous channel)."""
         chan = self.channel_of(stmt.channel)
-        slots = self.info.target_slots[id(stmt)]
+        slots = self.info.resolved[id(stmt)]
         form = stmt.form
         desc = f"{form}({self.chan_name(chan)}, {', '.join(stmt.targets)})"
         actions = self._recv_actions(chan, slots)
@@ -368,7 +364,7 @@ class _Lowerer:
             guard = self.compile_expr(cond)
             return print_expr(cond), (guard, (), "if.then"), (PNot(guard), (), "if.else")
         chan = self.channel_of(cond.channel)
-        slots = self.info.target_slots[id(cond)]
+        slots = self.info.resolved[id(cond)]
         text = f"{cond.form}({self.chan_name(chan)}, {', '.join(cond.targets)})"
         guard = self._recv_guard(chan)
         if cond.form == "timeout_recv":
@@ -406,7 +402,7 @@ def _const_to_expr(value: Value) -> IrExpr:
     return PBool(value) if isinstance(value, bool) else PEnum(value)
 
 
-def lower_process(system: SystemInstance, proc_index: int) -> ProcessAutomaton:
+def lower_process(system: CheckedModel, proc_index: int) -> ProcessAutomaton:
     """Lower one instantiated process into its automaton."""
     proc = system.processes[proc_index]
     lowerer = _Lowerer(system, proc)
@@ -445,7 +441,7 @@ def lower_process(system: SystemInstance, proc_index: int) -> ProcessAutomaton:
     )
 
 
-def lower_system(system: SystemInstance) -> CompiledSystem:
+def lower_system(system: CheckedModel) -> CompiledSystem:
     automata = tuple(lower_process(system, i) for i in range(len(system.processes)))
     return CompiledSystem(instance=system, automata=automata)
 
@@ -475,7 +471,7 @@ def _render_action(a: Action, expr, chans, names) -> str:
     return f"pop({chans[a.chan]})"
 
 
-def dump_automaton(automaton: ProcessAutomaton, system: SystemInstance) -> str:
+def dump_automaton(automaton: ProcessAutomaton, system: CheckedModel) -> str:
     """One line per transition, ordered by source location then declaration."""
     chans = [c.name for c in system.channels]
     names = [s.name for s in automaton.locals]

@@ -7,12 +7,12 @@ from .faultweave import WeaveReport, weave_system
 from .ir import lower_system
 from .parser import parse_source
 from .record import record
-from .sema import SystemInstance, instantiate, resolve_and_check
+from .sema import CheckedModel, instantiate, resolve_and_check
 
 
 @record
 class BuildResult:
-    system: SystemInstance
+    system: CheckedModel
     unwoven: CompiledSystem
     woven: CompiledSystem
     report: WeaveReport

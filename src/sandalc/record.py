@@ -4,9 +4,10 @@
 from its fields in one `exec`, and a shared `__repr__`.  The fields are those
 of its record base, then its own annotated names, in order; a field's value
 in the class body is its default.  Records are equal when they are of one
-class and their fields are equal, and hash as the tuple of their fields.  A
-frozen record refuses assignment; a mutable one (`frozen=False`) is
-unhashable.  Instances keep their `__dict__`, so `cached_property` works.
+class and their fields are equal, and hash as the tuple of their fields, so
+a record holding a dict or list is unhashable.  Every record refuses
+assignment and deletion of its fields; a dict or list field is still filled
+in place.  Instances keep their `__dict__`, so `cached_property` works.
 """
 
 _MISSING = object()
@@ -17,13 +18,6 @@ class Hidden:
 
     def __init__(self, default):
         self.default = default
-
-
-class Fresh:
-    """Default built anew for each instance by calling `factory()`."""
-
-    def __init__(self, factory):
-        self.factory = factory
 
 
 def _repr(self):  # a loop, not a generator: one frame per level of nesting
@@ -37,22 +31,17 @@ def _frozen(self, name, *value):
     raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
-def record(cls=None, *, frozen=True):
-    """Class decorator: `@record` or `@record(frozen=False)`."""
-    if cls is None:
-        return lambda cls: record(cls, frozen=frozen)
+def record(cls):
+    """Class decorator: make `cls` a frozen record class."""
     fields = {**getattr(cls, "__record_fields__", {})}
     for name in cls.__dict__.get("__annotations__", {}):
         fields[name] = cls.__dict__.get(name, _MISSING)
     env, params, hidden, body = {"_set": object.__setattr__}, [], [], ""
     for name, default in fields.items():
-        value = name
-        if type(default) is Fresh:  # the Fresh itself stands for "not given"
-            value = f"_d_{name}.factory() if {name} is _d_{name} else {name}"
         env[f"_d_{name}"] = default.default if type(default) is Hidden else default
         param = name if default is _MISSING else f"{name}=_d_{name}"
         (hidden if type(default) is Hidden else params).append(param)
-        body += f"  _set(self, {name!r}, {value})\n"
+        body += f"  _set(self, {name!r}, {name})\n"
     keys = tuple(n for n, d in fields.items() if type(d) is not Hidden)
     mine, theirs = ("".join(f"{who}.{n}, " for n in keys) for who in ("self", "other"))
     exec(
@@ -65,10 +54,7 @@ def record(cls=None, *, frozen=True):
     )
     cls.__init__, cls.__eq__, cls.__hash__ = env["__init__"], env["__eq__"], env["__hash__"]
     cls.__record_fields__, cls.__record_keys__, cls.__repr__ = fields, keys, _repr
-    if frozen:
-        cls.__setattr__ = cls.__delattr__ = _frozen
-    else:
-        cls.__hash__ = None
+    cls.__setattr__ = cls.__delattr__ = _frozen
     return cls
 
 

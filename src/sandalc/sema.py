@@ -1,11 +1,12 @@
 """Name resolution, type checking and system instantiation.
 
 resolve_and_check validates a ModelAST against the typing rules in one walk
-per construct.  For each template it records how every name and declaration
-resolves.  Checking the init-block binds it: it yields the concrete channels
-and the concrete processes with their channel and value bindings.  Checking
-an ltl formula resolves it: its atoms become (process index, variable slot)
-pairs.  instantiate only packages these results into a SystemInstance.
+per construct.  For each template it fills one table, `TemplateInfo.resolved`,
+with what every body node that lowering reads resolved to.  Checking the
+init-block binds it: it yields the concrete channels and the concrete
+processes with their channel and value bindings.  Checking an ltl formula
+resolves it: its atoms become (process index, variable slot) pairs.  So the
+CheckedModel is already the system instance, and instantiate returns it.
 
 PBool, PEnum, PNot and PBin are the compiler's one set of literal, not and
 binary nodes: ltl formulas add PAtom and PTemporal to them, and the guards and
@@ -18,7 +19,7 @@ from __future__ import annotations
 from . import syntax as ast
 from .errors import ArityError, NameResolutionError, Pos, TypeCheckError
 from .pretty import print_expr
-from .record import Fresh, record
+from .record import record
 
 Value = bool | str  # runtime values: booleans and enum constructor names
 
@@ -88,21 +89,9 @@ class LocalVar:
 
 
 @record
-class ChannelParam:
+class Param:
     name: str
-    type: ChannelType
-
-
-@record
-class ChannelArrayParam:
-    name: str
-    type: ChannelArrayType
-
-
-@record
-class ValueParam:
-    name: str
-    type: ValueType
+    type: ChannelType | ChannelArrayType | ValueType
 
 
 @record
@@ -117,7 +106,7 @@ class EnumConst:
     ctor: str
 
 
-Binding = LocalVar | ChannelParam | ChannelArrayParam | ValueParam | LoopChannel | EnumConst
+Binding = LocalVar | Param | LoopChannel | EnumConst
 
 
 @record
@@ -128,18 +117,17 @@ class SlotInfo:
     zero: Value
 
 
-@record(frozen=False)
+@record
 class TemplateInfo:
-    """Symbol tables for one process template, keyed by AST node identity."""
+    """Symbol tables for one process template.  `resolved` maps the id() of
+    a body node to what it resolved to: a Name to its binding, a VarDecl or
+    Assign to the LocalVar it writes, a Recv or RecvExpr to its target slots."""
 
     template: ast.ProcTemplate
-    params: dict[str, Binding]
+    params: dict[str, Param]
     slots: list[SlotInfo]
     body_level: dict[str, int]  # proc-body-level variable name -> slot
-    resolutions: dict[int, Binding] = Fresh(dict)  # id(Name) -> binding
-    decl_slots: dict[int, int] = Fresh(dict)  # id(VarDecl) -> slot
-    target_slots: dict[int, tuple[int, ...]] = Fresh(dict)
-    assign_slots: dict[int, int] = Fresh(dict)
+    resolved: dict[int, Binding | tuple[int, ...]]
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +197,7 @@ def render_value(v: Value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Checked models and system instances
+# Checked models
 
 
 @record
@@ -234,7 +222,7 @@ class ResolvedSpec:
     text: str  # rendering of the original formula
 
 
-@record(frozen=False)
+@record
 class CheckedModel:
     enums: dict[str, EnumType]
     constructors: dict[str, EnumType]
@@ -243,16 +231,8 @@ class CheckedModel:
     processes: tuple[ProcessDecl, ...]  # init-block processes, in order
     ltl_specs: tuple[ResolvedSpec, ...]
 
-
-@record
-class SystemInstance:
-    channels: tuple[ChannelDecl, ...]
-    processes: tuple[ProcessDecl, ...]
-    ltl_specs: tuple[ResolvedSpec, ...]
-    checked: CheckedModel
-
     def template_info(self, proc: ProcessDecl) -> TemplateInfo:
-        return self.checked.templates[proc.template]
+        return self.templates[proc.template]
 
 
 # ---------------------------------------------------------------------------
@@ -313,18 +293,8 @@ class _TemplateChecker:
     def __init__(self, tmpl: ast.ProcTemplate, enums, constructors) -> None:
         self.enums = enums
         self.constructors = constructors
-        params: dict[str, Binding] = {}
-        for p in tmpl.params:
-            ty = _type_from_node(p.type, enums)
-            if isinstance(ty, ChannelType):
-                params[p.name] = ChannelParam(p.name, ty)
-            elif isinstance(ty, ChannelArrayType):
-                params[p.name] = ChannelArrayParam(p.name, ty)
-            else:
-                params[p.name] = ValueParam(p.name, ty)
-        self.info = TemplateInfo(
-            template=tmpl, params=params, slots=[], body_level={}
-        )
+        params = {p.name: Param(p.name, _type_from_node(p.type, enums)) for p in tmpl.params}
+        self.info = TemplateInfo(tmpl, params, slots=[], body_level={}, resolved={})
         self.scopes: list[dict[str, Binding]] = [dict(params)]
         self.slot_names: set[str] = set()
 
@@ -360,10 +330,9 @@ class _TemplateChecker:
         self.info.slots.append(
             SlotInfo(name=display, src_name=decl.name, type=ty, zero=zero_value(ty))
         )
-        self.info.decl_slots[id(decl)] = slot
-        if body_level and decl.name not in self.info.body_level:
+        if body_level:
             self.info.body_level[decl.name] = slot
-        scope[decl.name] = LocalVar(slot=slot, type=ty)
+        scope[decl.name] = self.info.resolved[id(decl)] = LocalVar(slot=slot, type=ty)
 
     # -- statements
 
@@ -393,7 +362,7 @@ class _TemplateChecker:
                     f"cannot assign {value_ty} to '{stmt.name}' of type {binding.type}",
                     stmt.pos,
                 )
-            self.info.assign_slots[id(stmt)] = binding.slot
+            self.info.resolved[id(stmt)] = binding
         elif isinstance(stmt, ast.Send):
             chan = self._check_channel(stmt.channel)
             if len(stmt.values) != len(chan.payload):
@@ -412,7 +381,7 @@ class _TemplateChecker:
             chan = self._check_channel(stmt.channel)
             if stmt.form == "peek" and not chan.is_buffered:
                 raise TypeCheckError("peek needs a buffered channel", stmt.pos)
-            self.info.target_slots[id(stmt)] = self._check_targets(
+            self.info.resolved[id(stmt)] = self._check_targets(
                 stmt.targets, chan, stmt.pos
             )
         elif isinstance(stmt, ast.If):
@@ -472,7 +441,7 @@ class _TemplateChecker:
 
     def _check_recv_expr(self, expr: ast.RecvExpr) -> ValueType:
         chan = self._check_channel(expr.channel)
-        self.info.target_slots[id(expr)] = self._check_targets(
+        self.info.resolved[id(expr)] = self._check_targets(
             expr.targets, chan, expr.pos
         )
         return BOOL
@@ -490,7 +459,7 @@ class _TemplateChecker:
             return BOOL
         if isinstance(expr, ast.Name):
             binding = self._lookup(expr.ident, expr.pos)
-            self.info.resolutions[id(expr)] = binding
+            self.info.resolved[id(expr)] = binding
             return binding.type
         if isinstance(expr, ast.Qualified):
             raise TypeCheckError(
@@ -620,23 +589,22 @@ def _bind_init_block(
         chan_bindings: dict[str, int | tuple[int, ...]] = {}
         const_bindings: dict[str, Value] = {}
         for arg, param in zip(inst.args, params):
-            binding = info.params[param.name]
-            if isinstance(binding, ChannelParam):
-                chan_bindings[param.name] = channel_arg(arg, binding.type)
-            elif isinstance(binding, ChannelArrayParam):
+            ty = info.params[param.name].type
+            if isinstance(ty, ChannelType):
+                chan_bindings[param.name] = channel_arg(arg, ty)
+            elif isinstance(ty, ChannelArrayType):
                 if not isinstance(arg, ast.ArrayLit):
                     raise TypeCheckError(
                         "expected an array literal of channel names", arg.pos
                     )
                 chan_bindings[param.name] = tuple(
-                    channel_arg(elem, binding.type.elem) for elem in arg.elements
+                    channel_arg(elem, ty.elem) for elem in arg.elements
                 )
             else:
                 value, value_ty = _const_value(constructors, arg)
-                if value_ty != binding.type:
+                if value_ty != ty:
                     raise TypeCheckError(
-                        f"argument has type {value_ty}, parameter needs {binding.type}",
-                        arg.pos,
+                        f"argument has type {value_ty}, parameter needs {ty}", arg.pos
                     )
                 const_bindings[param.name] = value
         processes.append(
@@ -711,11 +679,8 @@ def _resolve_ltl(
 # Instantiation
 
 
-def instantiate(checked: CheckedModel) -> SystemInstance:
-    """Package the checked model's channels, processes and specs."""
-    return SystemInstance(
-        channels=checked.channels,
-        processes=checked.processes,
-        ltl_specs=checked.ltl_specs,
-        checked=checked,
-    )
+def instantiate(checked: CheckedModel) -> CheckedModel:
+    """Return `checked`: checking already binds the init block, so the checked
+    model is the system instance.  build_model still calls this stage, so
+    that a per-stage profile (bench/tracing.py) keeps its instantiate layer."""
+    return checked

@@ -32,7 +32,7 @@ import re
 
 from . import ir
 from .record import record
-from .sema import BoolType, EnumType, PAtom, PBool, PEnum, SystemInstance, Value
+from .sema import BoolType, CheckedModel, EnumType, PAtom, PBool, PEnum, Value
 from .sema import render, zero_value
 
 
@@ -110,13 +110,13 @@ class SmvDocument:
 
 
 class _Emitter:
-    def __init__(self, system: SystemInstance, automata) -> None:
+    def __init__(self, system: CheckedModel, automata) -> None:
         self.system = system
         self.automata = automata
         self.ctor_names = _Sanitizer()
         self.instance_names = _Sanitizer()
         # Enum constructors first: they are global symbolic constants.
-        for enum in system.checked.enums.values():
+        for enum in system.enums.values():
             for ctor in enum.constructors:
                 self.ctor_names.name(ctor)
         self.chan_ids = [self.instance_names.name(c.name) for c in system.channels]
@@ -306,7 +306,7 @@ def module(name: str, fields: list[_Field]) -> tuple[str, str]:
     return name, "\n".join(lines) + "\n"
 
 
-def emit_smv(system: SystemInstance, automata) -> SmvDocument:
+def emit_smv(system: CheckedModel, automata) -> SmvDocument:
     """Encode the woven system (faults included) as SMV module texts."""
     emitter = _Emitter(system, tuple(automata))
     components = emitter.components()

@@ -3,9 +3,12 @@
 Two kinds of independence live here:
 
 * HandshakeSim is a from-scratch simulator of the rendezvous handshake
-  (ready flag, received flag, one-slot buffer, three-step exchange).  It
-  shares no code with the package's lowering or checker and is used to
-  confirm the reachable state graph of small systems edge by edge.
+  (ready flag, received flag, one-slot buffer, three-step exchange) and of
+  the two declared faults, written from README's fault text: a crash
+  process may shut down at any point, and a send on a lossy channel may be
+  dropped.  It shares no code with the package's lowering, weaver or
+  checker and is used to confirm the reachable state graph of small
+  systems edge by edge.
 
 * naive_verdict computes PASS/FAIL for G/F/FG/GF specs by building the full
   reachable graph and analyzing its cycles directly, instead of the
@@ -42,6 +45,9 @@ class SimState:
     chans: tuple[SimChan, ...]
 
 
+CRASHED = -1  # the pc of a process that has shut down
+
+
 class HandshakeSim:
     """Executes per-process micro-op programs over shared rendezvous channels.
 
@@ -50,12 +56,30 @@ class HandshakeSim:
       ("send_fire", chan, value)      needs !ready; sets ready and the buffer
       ("send_done", chan)             needs received; resets the channel
       ("recv", chan, local_index)     needs ready & !received; copies buffer
+
+    Faults, as extra steps of kind:
+      shutdown    a process in `crash` that has not crashed moves to one
+                  absorbing crashed pc, from any pc (after its last op, and
+                  between send_fire and send_done too); its locals and the
+                  channels keep their values
+      drop        at a send_fire on a channel in `lossy`, the sender moves
+                  past the matching send_done, with no channel effect,
+                  whatever the channel's flags are
     """
 
-    def __init__(self, programs: list[list[tuple]], n_locals: list[int], n_chans: int):
+    def __init__(
+        self,
+        programs: list[list[tuple]],
+        n_locals: list[int],
+        n_chans: int,
+        crash: frozenset[int] = frozenset(),
+        lossy: frozenset[int] = frozenset(),
+    ):
         self.programs = programs
         self.n_locals = n_locals
         self.n_chans = n_chans
+        self.crash = crash
+        self.lossy = lossy
 
     def initial(self) -> SimState:
         return SimState(
@@ -69,10 +93,17 @@ class HandshakeSim:
         out = []
         for i, program in enumerate(self.programs):
             pc = state.pcs[i]
+            if pc == CRASHED:
+                continue
+            if i in self.crash:
+                out.append(((i, "shutdown"), self._jump(state, i, CRASHED)))
             if pc >= len(program):
                 continue
             op = program[pc]
             kind = op[0]
+            if kind == "send_fire" and op[1] in self.lossy:
+                assert program[pc + 1] == ("send_done", op[1])
+                out.append(((i, "drop"), self._jump(state, i, pc + 2)))
             chans = list(state.chans)
             vars_ = [list(v) for v in state.vars]
             if kind == "var":
@@ -103,6 +134,11 @@ class HandshakeSim:
             )
             out.append(((i, kind), nxt))
         return out
+
+    @staticmethod
+    def _jump(state: SimState, i: int, pc: int) -> SimState:
+        """`state` with process i at `pc`, its locals and every channel kept."""
+        return SimState(state.pcs[:i] + (pc,) + state.pcs[i + 1 :], state.vars, state.chans)
 
 
 def enumerate_graph(initial, steps_fn, max_states=100_000):

@@ -60,22 +60,22 @@ def test_frozen_assignment_raises():
     assert t.label == "d [k]" and t.__dict__["label"] == "d [k]"  # cached_property
 
 
-def test_template_info_is_mutable_unhashable_with_fresh_tables():
+def test_template_info_and_checked_model_are_frozen_and_unhashable():
     template = syntax.ProcTemplate("T")
-    a = sema.TemplateInfo(template, {}, [], {})
-    b = sema.TemplateInfo(template, {}, [], {})
-    for table in ("resolutions", "decl_slots", "target_slots", "assign_slots"):
-        assert getattr(a, table) == {} and getattr(a, table) is not getattr(b, table)
-    a.resolutions[1] = sema.LocalVar(0, sema.BOOL)
-    assert b.resolutions == {} and a != b
-    given = {2: 3}
-    assert sema.TemplateInfo(template, {}, [], {}, decl_slots=given).decl_slots is given
-    a.slots = [None]
-    assert a.slots == [None]
-    with pytest.raises(TypeError):
-        hash(a)
-    with pytest.raises(TypeError):
-        hash(sema.CheckedModel({}, {}, {}, (), (), ()))
+    given = {2: (3,)}
+    info = sema.TemplateInfo(template, {}, [], {}, resolved=given)
+    assert info.resolved is given
+    checked = sema.CheckedModel({}, {}, {"T": info}, (), (), ())
+    for obj, field in ((info, "resolved"), (info, "slots"), (checked, "templates")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, {})
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+    for obj in (info, checked):  # their tables are dicts
+        with pytest.raises(TypeError):
+            hash(obj)
+    info.resolved[1] = sema.LocalVar(0, sema.BOOL)  # tables are filled in place
+    assert given == {2: (3,), 1: sema.LocalVar(0, sema.BOOL)}
 
 
 def test_pos_is_keyword_only():

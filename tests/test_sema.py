@@ -1,5 +1,9 @@
+import sys
+from pathlib import Path
+
 import pytest
 
+from sandalc import syntax
 from sandalc.corpus import MODEL_NAMES, corpus_source
 from sandalc.errors import (
     ArityError,
@@ -16,6 +20,9 @@ from sandalc.sema import (
     instantiate,
     resolve_and_check,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from models import FAULT_MIXES, SPEC_KINDS, job_source  # noqa: E402
 
 
 def check(source):
@@ -299,6 +306,40 @@ def test_nested_scopes_may_shadow():
     info = checked.templates["P"]
     assert [s.name for s in info.slots] == ["x", "x_2"]
     assert info.body_level == {"x": 0}  # ltl sees the proc-level one
+
+
+_RESOLVED_NODES = (syntax.Name, syntax.VarDecl, syntax.Assign, syntax.Recv, syntax.RecvExpr)
+
+
+def _resolved_node_ids(node, out):
+    """Ids of the Name, VarDecl, Assign, Recv and RecvExpr nodes under `node`."""
+    if isinstance(node, tuple):
+        for item in node:
+            _resolved_node_ids(item, out)
+    elif hasattr(node, "__record_fields__"):
+        if isinstance(node, _RESOLVED_NODES):
+            out.add(id(node))
+        for field in node.__record_fields__:
+            _resolved_node_ids(getattr(node, field), out)
+    return out
+
+
+def test_resolved_holds_exactly_the_nodes_lowering_reads():
+    """One table, `resolved`, holds an entry for every body node that
+    lowering looks up, and nothing else."""
+    golden = sorted((Path(__file__).parent / "golden").glob("*.sandal"))
+    sources = [corpus_source(name) for name in MODEL_NAMES]
+    sources += [path.read_text() for path in golden]
+    sources += [
+        job_source(n, mix, kind) for n in (1, 2, 3) for mix in FAULT_MIXES for kind in SPEC_KINDS
+    ]
+    n_templates = 0
+    for source in sources:
+        for info in check(source).templates.values():
+            body = _resolved_node_ids(info.template.body, set())
+            assert set(info.resolved) == body, info.template.name
+            n_templates += 1
+    assert (len(sources), n_templates) == (69, 138)
 
 
 # ---------------------------------------------------------------------------
