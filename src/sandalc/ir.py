@@ -1,10 +1,11 @@
 """Lowering of process bodies into guarded transition automata.
 
-Each construct is lowered between an entry and an exit location that it is
-given: a statement sequence, or an unrolled `for`, puts one fresh location
-between each pair of consecutive parts, and every branch of an if, choice or
-receive condition ends on the shared exit, so branches join without any
-merging afterwards.  Most statements are one edge from entry to exit;
+Each construct is lowered from an entry location that it is given and
+returns its open edges, those that leave it with no destination yet; the
+caller joins them by making the next location and pointing them at it.  A
+statement sequence, or an unrolled `for`, joins between consecutive parts,
+and every branch of an if, choice or receive condition leaves its open edges
+to the one join after it.  Most statements are one edge from the entry;
 assignments, initialized `var`s and receive expressions share one store
 path, and `peek` is the buffered `recv` without its pop.  Rendezvous
 communication uses the three-variable handshake (ready flag, received flag,
@@ -20,15 +21,16 @@ Each edge is stated once: its fault tag follows from its kind
 finds every send by its `send.fire` or `send.buffered` edge.
 
 Loops are unrolled (array bindings are static after instantiation), so every
-automaton is acyclic, and locations are numbered in a topological order:
-every transition leads from a lower number to a higher one.  The entry is 0
-and the terminal, which every location reaches, is the last; the weaver's
-shutdown location comes after it, and a drop edge skips forward over a send.
+automaton is acyclic, and a location is made, and numbered, only once every
+edge into it exists: locations are made in a topological order, not
+renumbered into one, and every transition leads from a lower number to a
+higher one.  The entry is 0 and the terminal, which every location reaches,
+is made last; the weaver's shutdown location comes after it, and a drop edge
+skips forward over a send.
 """
 
 from __future__ import annotations
 
-import heapq
 from functools import cached_property
 
 from . import sema
@@ -199,33 +201,27 @@ class CompiledSystem:
 # Lowering
 
 
-# One edge before renumbering: (src, dst, guard, actions, kind, desc, pos).
-_Edge = tuple[int, int, IrExpr, tuple[Action, ...], str, str, Pos]
-
-
 class _Lowerer:
     def __init__(self, system: CheckedModel, proc: sema.ProcessDecl) -> None:
         self.system = system
         self.proc = proc
         self.info = system.template_info(proc)
         self.n_locs = 0
-        self.edges: list[_Edge] = []
+        self.edges: list[list] = []  # Transition fields; dst is None until joined
         self.loop_env: dict[int, int] = {}  # id(For node) -> current channel index
 
-    def fresh(self) -> int:
-        self.n_locs += 1
-        return self.n_locs - 1
+    def add(self, src, guard, actions, kind, desc, pos) -> list[list]:
+        """One edge from src, as the open ends it makes: the caller joins it."""
+        edge = [src, None, guard, tuple(actions), kind, desc, pos]
+        self.edges.append(edge)
+        return [edge]
 
-    def add(self, src, dst, guard, actions, kind, desc, pos) -> None:
-        self.edges.append((src, dst, guard, tuple(actions), kind, desc, pos))
-
-    def spans(self, entry: int, exit_: int, n: int):
-        """n consecutive (entry, exit) pairs from entry to exit, with a fresh
-        location between each pair."""
-        for i in range(n):
-            mid = exit_ if i == n - 1 else self.fresh()
-            yield entry, mid
-            entry = mid
+    def join(self, ends: list[list]) -> int:
+        """Make the next location and point the open ends at it."""
+        loc, self.n_locs = self.n_locs, self.n_locs + 1
+        for edge in ends:
+            edge[1] = loc
+        return loc
 
     # -- name resolution against the instantiated bindings
 
@@ -234,12 +230,12 @@ class _Lowerer:
         if isinstance(binding, sema.LoopChannel):
             return self.loop_env[binding.for_id]
         assert isinstance(binding.type, sema.ChannelType)
-        return self.proc.chan_bindings[binding.name]
+        return self.proc.args[binding.name]
 
     def channel_list_of(self, expr: ast.Expr) -> tuple[int, ...]:
         binding = self.info.resolved[id(expr)]
         assert isinstance(binding.type, sema.ChannelArrayType)
-        return self.proc.chan_bindings[binding.name]
+        return self.proc.args[binding.name]
 
     def chan_name(self, chan: int) -> str:
         return self.system.channels[chan].name
@@ -255,7 +251,7 @@ class _Lowerer:
             if isinstance(binding, sema.LocalVar):
                 return EVar(binding.slot)
             if isinstance(binding, sema.Param):
-                return _const_to_expr(self.proc.const_bindings[binding.name])
+                return _const_to_expr(self.proc.args[binding.name])
             assert isinstance(binding, sema.EnumConst)
             return PEnum(binding.ctor)
         if isinstance(expr, ast.Unary):
@@ -263,74 +259,74 @@ class _Lowerer:
         assert isinstance(expr, ast.Binary), f"cannot compile {expr!r}"
         return PBin(expr.op, self.compile_expr(expr.left), self.compile_expr(expr.right))
 
-    # -- fragments; every lowering adds its edges between a given entry and exit
+    # -- fragments; every lowering adds its edges from a given entry and
+    # returns the open edges that leave it, for the caller to join
 
-    def lower_block(self, block: ast.Block, entry: int, exit_: int) -> None:
+    def lower_block(self, block: ast.Block, entry: int) -> list[list]:
         if not block.stmts:
-            self.add(entry, exit_, TRUE, (), "noop", "skip", block.pos)
-        for stmt, (src, dst) in zip(block.stmts, self.spans(entry, exit_, len(block.stmts))):
-            self.lower_stmt(stmt, src, dst)
+            return self.add(entry, TRUE, (), "noop", "skip", block.pos)
+        ends = self.lower_stmt(block.stmts[0], entry)
+        for stmt in block.stmts[1:]:
+            ends = self.lower_stmt(stmt, self.join(ends))
+        return ends
 
-    def lower_stmt(self, stmt: ast.Stmt, entry: int, exit_: int) -> None:
+    def lower_stmt(self, stmt: ast.Stmt, entry: int) -> list[list]:
         if isinstance(stmt, ast.VarDecl):
-            self.lower_var(stmt, entry, exit_)
-        elif isinstance(stmt, ast.Assign):
+            return self.lower_var(stmt, entry)
+        if isinstance(stmt, ast.Assign):
             slot = self.info.resolved[id(stmt)].slot
-            self.lower_store(slot, stmt.value, stmt.name, "assign", stmt.pos, entry, exit_)
-        elif isinstance(stmt, ast.Send):
-            self.lower_send(stmt, entry, exit_)
-        elif isinstance(stmt, ast.Recv):
-            self.lower_recv(stmt, entry, exit_)
-        elif isinstance(stmt, ast.If):
-            self.lower_if(stmt, entry, exit_)
-        elif isinstance(stmt, ast.For):
-            self.lower_for(stmt, entry, exit_)
-        elif isinstance(stmt, ast.Choice):
+            return self.lower_store(slot, stmt.value, stmt.name, "assign", stmt.pos, entry)
+        if isinstance(stmt, ast.Send):
+            return self.lower_send(stmt, entry)
+        if isinstance(stmt, ast.Recv):
+            return self.lower_recv(stmt, entry)
+        if isinstance(stmt, ast.If):
+            return self.lower_if(stmt, entry)
+        if isinstance(stmt, ast.For):
+            return self.lower_for(stmt, entry)
+        if isinstance(stmt, ast.Choice):
             # Alternatives branch from the shared entry, so an alternative is
             # selectable exactly when its first statement is enabled.
-            for block in stmt.blocks:
-                self.lower_block(block, entry, exit_)
-        else:
-            assert isinstance(stmt, ast.ExprStmt)
-            self.add(entry, exit_, TRUE, (), "expr", print_expr(stmt.expr), stmt.pos)
+            return [end for block in stmt.blocks for end in self.lower_block(block, entry)]
+        assert isinstance(stmt, ast.ExprStmt)
+        return self.add(entry, TRUE, (), "expr", print_expr(stmt.expr), stmt.pos)
 
-    def lower_var(self, stmt: ast.VarDecl, entry: int, exit_: int) -> None:
+    def lower_var(self, stmt: ast.VarDecl, entry: int) -> list[list]:
         slot = self.info.resolved[id(stmt)].slot
         lhs = f"var {stmt.name}"
         if stmt.init is not None:
-            self.lower_store(slot, stmt.init, lhs, "var", stmt.pos, entry, exit_)
-        else:
-            zero = ASetVar(slot, _const_to_expr(self.info.slots[slot].zero))
-            self.add(entry, exit_, TRUE, (zero,), "var", lhs, stmt.pos)
+            return self.lower_store(slot, stmt.init, lhs, "var", stmt.pos, entry)
+        zero = ASetVar(slot, _const_to_expr(self.info.slots[slot].zero))
+        return self.add(entry, TRUE, (zero,), "var", lhs, stmt.pos)
 
     def lower_store(
-        self, slot: int, rhs: ast.Expr, lhs: str, kind: str, pos: Pos, entry: int, exit_: int
-    ) -> None:
+        self, slot: int, rhs: ast.Expr, lhs: str, kind: str, pos: Pos, entry: int
+    ) -> list[list]:
         """`lhs = rhs` into a slot.  A timeout_recv or nonblock_recv on the
-        right has two edges to the exit, each storing its outcome."""
+        right has two edges, each storing its outcome."""
         if not isinstance(rhs, ast.RecvExpr):
             store = ASetVar(slot, self.compile_expr(rhs))
-            self.add(entry, exit_, TRUE, (store,), kind, f"{lhs} = {print_expr(rhs)}", pos)
-            return
+            return self.add(entry, TRUE, (store,), kind, f"{lhs} = {print_expr(rhs)}", pos)
         text, taken, untaken = self._branches(rhs)
+        ends = []
         for (guard, actions, branch_kind), result in ((taken, True), (untaken, False)):
             stored = actions + (ASetVar(slot, PBool(result)),)
-            self.add(entry, exit_, guard, stored, branch_kind, f"{lhs} = {text}", pos)
+            ends += self.add(entry, guard, stored, branch_kind, f"{lhs} = {text}", pos)
+        return ends
 
-    def lower_send(self, stmt: ast.Send, entry: int, exit_: int) -> None:
+    def lower_send(self, stmt: ast.Send, entry: int) -> list[list]:
         chan = self.channel_of(stmt.channel)
         payload = tuple(self.compile_expr(v) for v in stmt.values)
         values = ", ".join(print_expr(v) for v in stmt.values)
         desc = f"send({self.chan_name(chan)}, {values})"
         ty = self.chan_type(chan)
         if ty.is_buffered:
-            self.add(entry, exit_, EChanNotFull(chan, ty.capacity), (APush(chan, payload),),
-                     "send.buffered", desc, stmt.pos)
-            return
-        mid = self.fresh()
-        self.add(entry, mid, PNot(EChanReady(chan)), (ABeginSend(chan, payload),),
-                 "send.fire", desc, stmt.pos)
-        self.add(mid, exit_, EChanReceived(chan), (AFinishSend(chan),), "send.done", desc, stmt.pos)
+            return self.add(entry, EChanNotFull(chan, ty.capacity), (APush(chan, payload),),
+                            "send.buffered", desc, stmt.pos)
+        fire = self.add(entry, PNot(EChanReady(chan)), (ABeginSend(chan, payload),),
+                        "send.fire", desc, stmt.pos)
+        return self.add(self.join(fire), EChanReceived(chan), (AFinishSend(chan),),
+                        "send.done", desc, stmt.pos)
 
     def _recv_guard(self, chan: int) -> IrExpr:
         if self.chan_type(chan).is_buffered:
@@ -346,7 +342,7 @@ class _Lowerer:
         copies = tuple(ASetVar(slot, EChanBufItem(chan, i)) for i, slot in enumerate(slots))
         return copies + (AMarkReceived(chan),)
 
-    def lower_recv(self, stmt: ast.Recv, entry: int, exit_: int) -> None:
+    def lower_recv(self, stmt: ast.Recv, entry: int) -> list[list]:
         """recv, or peek: the buffered recv without its trailing pop (sema
         rejects a peek on a rendezvous channel)."""
         chan = self.channel_of(stmt.channel)
@@ -356,7 +352,7 @@ class _Lowerer:
         actions = self._recv_actions(chan, slots)
         if form == "peek":
             actions = actions[:-1]
-        self.add(entry, exit_, self._recv_guard(chan), actions, form, desc, stmt.pos)
+        return self.add(entry, self._recv_guard(chan), actions, form, desc, stmt.pos)
 
     def _branches(self, cond: ast.Expr) -> tuple[str, _Branch, _Branch]:
         """A condition's text and its taken and untaken edges."""
@@ -375,27 +371,24 @@ class _Lowerer:
         taken = (guard, self._recv_actions(chan, slots), "nonblock.ok")
         return text, taken, (PNot(guard), (), "nonblock.fail")
 
-    def lower_if(self, stmt: ast.If, entry: int, exit_: int) -> None:
+    def lower_if(self, stmt: ast.If, entry: int) -> list[list]:
         text, taken, untaken = self._branches(stmt.cond)
         desc = f"if {text}"
-        then_entry = self.fresh()
-        self.add(entry, then_entry, *taken, desc, stmt.pos)
-        self.lower_block(stmt.then, then_entry, exit_)
+        ends = self.lower_block(stmt.then, self.join(self.add(entry, *taken, desc, stmt.pos)))
+        untaken_end = self.add(entry, *untaken, desc, stmt.pos)
         if stmt.els is None:
-            self.add(entry, exit_, *untaken, desc, stmt.pos)
-        else:
-            else_entry = self.fresh()
-            self.add(entry, else_entry, *untaken, desc, stmt.pos)
-            self.lower_block(stmt.els, else_entry, exit_)
+            return ends + untaken_end
+        return ends + self.lower_block(stmt.els, self.join(untaken_end))
 
-    def lower_for(self, stmt: ast.For, entry: int, exit_: int) -> None:
+    def lower_for(self, stmt: ast.For, entry: int) -> list[list]:
         channels = self.channel_list_of(stmt.iterable)
         if not channels:
-            self.add(entry, exit_, TRUE, (), "noop", "for (empty)", stmt.pos)
-        for chan, (src, dst) in zip(channels, self.spans(entry, exit_, len(channels))):
+            return self.add(entry, TRUE, (), "noop", "for (empty)", stmt.pos)
+        for k, chan in enumerate(channels):
             self.loop_env[id(stmt)] = chan
-            self.lower_block(stmt.body, src, dst)
-        self.loop_env.pop(id(stmt), None)
+            ends = self.lower_block(stmt.body, self.join(ends) if k else entry)
+        del self.loop_env[id(stmt)]
+        return ends
 
 
 def _const_to_expr(value: Value) -> IrExpr:
@@ -403,40 +396,20 @@ def _const_to_expr(value: Value) -> IrExpr:
 
 
 def lower_process(system: CheckedModel, proc_index: int) -> ProcessAutomaton:
-    """Lower one instantiated process into its automaton."""
+    """Lower one instantiated process into its automaton.  Each location is
+    numbered as it is made, after every location with an edge into it, so
+    the entry is 0 and the terminal, made last, is n_locations - 1."""
     proc = system.processes[proc_index]
     lowerer = _Lowerer(system, proc)
-    entry, terminal = lowerer.fresh(), lowerer.fresh()
+    entry = lowerer.join([])
     # An empty body lowers to one noop step, so entry != terminal.
-    lowerer.lower_block(system.template_info(proc).template.body, entry, terminal)
-    edges = lowerer.edges
-    # Renumber in topological order by Kahn's algorithm from the entry: of the
-    # locations whose every incoming edge is numbered, take next the one made
-    # ready by the earliest edge in the list.  Raw ids are dense, so plain
-    # lists index them.
-    leaving: list[list[tuple[int, int]]] = [[] for _ in range(lowerer.n_locs)]
-    waiting = [0] * lowerer.n_locs  # incoming edges from unnumbered locations
-    for k, (src, dst, *_) in enumerate(edges):
-        leaving[src].append((k, dst))
-        waiting[dst] += 1
-    numbering = [0] * lowerer.n_locs
-    ready, n = [(-1, entry)], 0
-    while ready:
-        _, loc = heapq.heappop(ready)
-        numbering[loc], n = n, n + 1
-        for k, dst in leaving[loc]:
-            waiting[dst] -= 1
-            if not waiting[dst]:
-                heapq.heappush(ready, (k, dst))
-    transitions = tuple(
-        Transition(numbering[src], numbering[dst], *rest) for src, dst, *rest in edges
-    )
+    terminal = lowerer.join(lowerer.lower_block(lowerer.info.template.body, entry))
     return ProcessAutomaton(
         name=proc.name,
-        n_locations=n,
-        entry=0,
-        terminal=numbering[terminal],
-        transitions=transitions,
+        n_locations=lowerer.n_locs,
+        entry=entry,
+        terminal=terminal,
+        transitions=tuple(Transition(*edge) for edge in lowerer.edges),
         locals=tuple(lowerer.info.slots),
     )
 

@@ -211,8 +211,7 @@ class ChannelDecl:
 class ProcessDecl:
     name: str
     template: str
-    chan_bindings: dict[str, int | tuple[int, ...]]
-    const_bindings: dict[str, Value]
+    args: dict[str, int | tuple[int, ...] | Value]  # by parameter name; its type says which
     shutdown_fault: bool = False
 
 
@@ -580,39 +579,34 @@ def _bind_init_block(
                 f"unknown process template '{inst.template}'", entry.pos
             )
         info = templates[inst.template]
-        params = info.template.params
-        if len(inst.args) != len(params):
+        if len(inst.args) != len(info.params):
             raise ArityError(
-                f"'{inst.template}' takes {len(params)} arguments, got {len(inst.args)}",
+                f"'{inst.template}' takes {len(info.params)} arguments, got {len(inst.args)}",
                 entry.pos,
             )
-        chan_bindings: dict[str, int | tuple[int, ...]] = {}
-        const_bindings: dict[str, Value] = {}
-        for arg, param in zip(inst.args, params):
-            ty = info.params[param.name].type
+        args: dict[str, int | tuple[int, ...] | Value] = {}
+        for arg, param in zip(inst.args, info.params.values()):
+            ty = param.type
             if isinstance(ty, ChannelType):
-                chan_bindings[param.name] = channel_arg(arg, ty)
+                args[param.name] = channel_arg(arg, ty)
             elif isinstance(ty, ChannelArrayType):
                 if not isinstance(arg, ast.ArrayLit):
                     raise TypeCheckError(
                         "expected an array literal of channel names", arg.pos
                     )
-                chan_bindings[param.name] = tuple(
-                    channel_arg(elem, ty.elem) for elem in arg.elements
-                )
+                args[param.name] = tuple(channel_arg(elem, ty.elem) for elem in arg.elements)
             else:
                 value, value_ty = _const_value(constructors, arg)
                 if value_ty != ty:
                     raise TypeCheckError(
                         f"argument has type {value_ty}, parameter needs {ty}", arg.pos
                     )
-                const_bindings[param.name] = value
+                args[param.name] = value
         processes.append(
             ProcessDecl(
                 name=entry.name,
                 template=inst.template,
-                chan_bindings=chan_bindings,
-                const_bindings=const_bindings,
+                args=args,
                 shutdown_fault="shutdown" in entry.markers,
             )
         )

@@ -1,6 +1,6 @@
 """Independent oracles used to cross-check the compiler and checker.
 
-Two kinds of independence live here:
+Three references live here:
 
 * HandshakeSim is a from-scratch simulator of the rendezvous handshake
   (ready flag, received flag, one-slot buffer, three-step exchange) and of
@@ -15,10 +15,14 @@ Two kinds of independence live here:
   checker's on-the-fly searches.  Loop unrolling makes process automata
   acyclic, so every product cycle must be a self-loop; the oracle verifies
   that claim (raising if it ever fails) and then reasons over self-loops.
+
+* earliest_edge_order is the location numbering rule that lowering must
+  produce, stated as a topological sort of the finished edge list.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 
@@ -186,6 +190,34 @@ def assert_isomorphic(graph_a, init_a, graph_b, init_b) -> None:
                 b_to_a[nb] = na
                 frontier.append((na, nb))
     assert len(a_to_b) == len(graph_a) == len(graph_b)
+
+
+# ---------------------------------------------------------------------------
+# Location numbering rule
+
+
+def earliest_edge_order(n_locations: int, edges) -> list[int]:
+    """The number of each location under Kahn's algorithm with ties broken by
+    earliest edge: of the locations whose every incoming edge comes from a
+    numbered location, number next the one made ready by the earliest edge
+    in the list.  `edges` are (src, dst) pairs in transition order; locations
+    without incoming edges are ready from the start, in index order."""
+    leaving: list[list[tuple[int, int]]] = [[] for _ in range(n_locations)]
+    waiting = [0] * n_locations  # incoming edges from unnumbered locations
+    for k, (src, dst) in enumerate(edges):
+        leaving[src].append((k, dst))
+        waiting[dst] += 1
+    ready = [(-1, loc) for loc in range(n_locations) if not waiting[loc]]
+    numbering = [-1] * n_locations
+    for n in range(n_locations):
+        assert ready, "the edges have a cycle"
+        _, loc = heapq.heappop(ready)
+        numbering[loc] = n
+        for k, dst in leaving[loc]:
+            waiting[dst] -= 1
+            if not waiting[dst]:
+                heapq.heappush(ready, (k, dst))
+    return numbering
 
 
 # ---------------------------------------------------------------------------

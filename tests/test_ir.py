@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,10 @@ from sandalc.corpus import corpus_source
 from sandalc.ir import dump_automaton
 from sandalc.pipeline import build_model
 from sandalc.smv import emit_smv
-from oracles import build_graph
+from oracles import build_graph, earliest_edge_order
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from models import FAULT_MIXES, family_member  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -147,6 +151,27 @@ def test_locations_are_numbered_in_topological_order(all_builds):
                     assert automaton.shutdown_loc == automaton.n_locations - 1
         for automaton in built.unwoven.automata:
             assert automaton.terminal == automaton.n_locations - 1
+
+
+NUMBERING_SOURCES = {
+    **{f"n{n}-{mix}": (n, mix) for n in range(1, 6) for mix in FAULT_MIXES},
+    **{f"n{n}-allfaults": (n, "allfaults") for n in (16, 32, 64)},
+}
+
+
+@pytest.mark.parametrize("name", ["corpus-and-golden", *NUMBERING_SOURCES])
+def test_locations_follow_the_earliest_edge_rule(name, all_builds):
+    """Renumbering an unwoven automaton by Kahn's algorithm with ties broken
+    by earliest edge maps every location to itself."""
+    if name == "corpus-and-golden":
+        systems = [built.unwoven for built in all_builds]
+    else:
+        systems = [compiled(family_member(*NUMBERING_SOURCES[name]))]
+    for cs in systems:
+        for automaton in cs.automata:
+            edges = [(t.src, t.dst) for t in automaton.transitions]
+            order = earliest_edge_order(automaton.n_locations, edges)
+            assert order == list(range(automaton.n_locations)), automaton.name
 
 
 def test_automaton_connected_from_entry(all_builds):

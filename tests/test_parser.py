@@ -7,7 +7,7 @@ from sandalc.corpus import MODEL_NAMES, corpus_source
 from sandalc.errors import ParseError
 from sandalc.parser import parse_source
 from sandalc.pipeline import build_model
-from sandalc.pretty import print_expr, print_model
+from printer import print_expr, print_model
 
 
 def test_pingpong_shape():

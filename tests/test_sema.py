@@ -86,8 +86,8 @@ def test_two_phase_commit_instantiation():
     assert len(instance.channels) == 4
     assert all(c.drop_fault for c in instance.channels)
     arbiter = instance.processes[0]
-    assert arbiter.chan_bindings["chRecvs"] == (0, 2)  # chWorker1Send, chWorker2Send
-    assert arbiter.chan_bindings["chSends"] == (1, 3)
+    assert arbiter.args["chRecvs"] == (0, 2)  # chWorker1Send, chWorker2Send
+    assert arbiter.args["chSends"] == (1, 3)
 
 
 def test_empty_system_is_legal():
@@ -111,7 +111,7 @@ def test_instantiate_is_deterministic():
     b = build_instance(source)
     assert [p.name for p in a.processes] == [p.name for p in b.processes]
     assert [c.name for c in a.channels] == [c.name for c in b.channels]
-    assert a.processes[0].chan_bindings == b.processes[0].chan_bindings
+    assert a.processes[0].args == b.processes[0].args
 
 
 def test_zero_initialization_rule():
@@ -266,7 +266,7 @@ def test_sibling_arrays_may_have_different_lengths():
         "  p: P([a], [b, c]) }"
     )
     instance = build_instance(source)
-    assert instance.processes[0].chan_bindings == {"xs": (0,), "ys": (1, 2)}
+    assert instance.processes[0].args == {"xs": (0,), "ys": (1, 2)}
 
 
 def test_value_parameters_substituted():
@@ -278,7 +278,7 @@ def test_value_parameters_substituted():
         "init { c: channel { V }, p: P(c, B, true) }"
     )
     instance = build_instance(source)
-    assert instance.processes[0].const_bindings == {"what": "B", "go": True}
+    assert instance.processes[0].args == {"c": 0, "what": "B", "go": True}
 
 
 def test_value_parameter_wrong_type_rejected():
