@@ -11,7 +11,7 @@ Python's stack; past either one, parsing stops with a ParseError.
 * Nesting: a block, a parenthesized expression, the operand of `!`, `G` or
   `F`, the right side of `->`, an `else if` and a channel payload type each
   open one level, and at most 64 levels may be open.  This also bounds the
-  parser's own recursion, about seven frames per parenthesis.
+  parser's own recursion, about three frames per parenthesis.
 * Expression depth: the tree of a whole expression may be at most 256 nodes
   deep.  Left-associative chains (`a && b && ...`) open no nesting level,
   since a wide model's specs chain one conjunct per process, so this bound,
@@ -26,7 +26,9 @@ from . import syntax as ast
 
 _MAX_NESTING = 64
 _MAX_EXPR_DEPTH = 256
-_KEYWORD_OR_PUNCT = (TokenKind.KEYWORD, TokenKind.PUNCT)
+# Precedence climbing: each binary operator's index in ast.BINARY_LEVELS.
+_LEVELS = {op: level for level, ops in enumerate(ast.BINARY_LEVELS) for op in ops}
+_EQUALITY = _LEVELS["=="]
 
 
 def _too_deep(expr: ast.Expr) -> bool:
@@ -57,33 +59,24 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind is not TokenKind.EOF:
-            self.i += 1
-        return tok
-
     def at(self, text: str) -> bool:
-        """Whether the current token is a keyword or punctuation spelled `text`."""
-        tok = self.tokens[self.i]
-        return tok.text == text and tok.kind in _KEYWORD_OR_PUNCT
-
-    def at_ident(self) -> bool:
-        return self.tokens[self.i].kind is TokenKind.IDENT
+        """Whether the current token is the keyword or punctuation `text`: the
+        lexer gives such a text to no token of another kind."""
+        return self.tokens[self.i].text == text
 
     def expect(self, text: str, context: str) -> Token:
-        if not self.at(text):
-            raise ParseError(f"expected {text!r} {context}, found {self.cur}", self.cur.pos)
-        return self.advance()
+        tok = self.tokens[self.i]
+        if tok.text != text:
+            raise ParseError(f"expected {text!r} {context}, found {tok}", tok.pos)
+        self.i += 1
+        return tok
 
     def expect_ident(self, context: str) -> Token:
-        if not self.at_ident():
-            raise ParseError(f"expected identifier {context}, found {self.cur}", self.cur.pos)
-        return self.advance()
+        tok = self.tokens[self.i]
+        if tok.kind is not TokenKind.IDENT:
+            raise ParseError(f"expected identifier {context}, found {tok}", tok.pos)
+        self.i += 1
+        return tok
 
     def enter(self, tok: Token) -> None:
         """Open one nesting level at `tok`; close it with `leave`."""
@@ -96,12 +89,14 @@ class _Parser:
 
     def skip_newlines(self) -> None:
         """Skip newline-inserted separators (used inside comma lists)."""
-        while self.cur.synthetic and self.cur.text == ";":
-            self.advance()
+        tokens = self.tokens
+        while tokens[self.i].synthetic and tokens[self.i].text == ";":
+            self.i += 1
 
     def skip_separators(self) -> None:
-        while self.at(";"):
-            self.advance()
+        tokens = self.tokens
+        while tokens[self.i].text == ";":
+            self.i += 1
 
     # -- top level ----------------------------------------------------------
 
@@ -112,25 +107,26 @@ class _Parser:
         ltl_specs: list[ast.LtlSpec] = []
         while True:
             self.skip_separators()
-            if self.cur.kind is TokenKind.EOF:
+            tok = self.tokens[self.i]
+            if tok.kind is TokenKind.EOF:
                 break
-            if self.at("data"):
+            if tok.text == "data":
                 data_decls.append(self.parse_data())
-            elif self.at("proc"):
+            elif tok.text == "proc":
                 procs.append(self.parse_proc())
-            elif self.at("init"):
+            elif tok.text == "init":
                 if init_entries is not None:
-                    raise ParseError("duplicate init-block (a model has exactly one)", self.cur.pos)
+                    raise ParseError("duplicate init-block (a model has exactly one)", tok.pos)
                 init_entries = self.parse_init()
-            elif self.at("ltl"):
+            elif tok.text == "ltl":
                 ltl_specs.append(self.parse_ltl())
             else:
                 raise ParseError(
-                    f"expected 'data', 'proc', 'init' or 'ltl' at top level, found {self.cur}",
-                    self.cur.pos,
+                    f"expected 'data', 'proc', 'init' or 'ltl' at top level, found {tok}",
+                    tok.pos,
                 )
         if init_entries is None:
-            raise ParseError("model has no init-block", self.cur.pos)
+            raise ParseError("model has no init-block", tok.pos)
         return ast.ModelAST(
             data_decls=tuple(data_decls),
             proc_decls=tuple(procs),
@@ -188,8 +184,9 @@ class _Parser:
             self.expect(")", "to close the argument list")
             payload = ast.ProcessInstantiation(template=template.text, args=tuple(args))
         markers: set[str] = set()
-        while self.cur.kind is TokenKind.FAULT_MARKER:
-            marker = self.advance()
+        while self.tokens[self.i].kind is TokenKind.FAULT_MARKER:
+            marker = self.tokens[self.i]
+            self.i += 1
             if marker.marker_name in markers:
                 raise ParseError(f"duplicate fault marker '{marker.text}'", marker.pos)
             markers.add(marker.marker_name)
@@ -203,8 +200,9 @@ class _Parser:
         return entry
 
     def parse_init_arg(self) -> ast.Expr:
-        if self.at("["):
-            open_tok = self.advance()
+        open_tok = self.tokens[self.i]
+        if open_tok.text == "[":
+            self.i += 1
             elems = self.comma_list(self.parse_expr, "]")
             self.expect("]", "to close the array literal")
             return ast.ArrayLit(elements=tuple(elems), pos=open_tok.pos)
@@ -225,44 +223,44 @@ class _Parser:
         """Parse `item (, item)* ,?` until `closer`, tolerating newlines."""
         items = []
         self.skip_newlines()
-        while not self.at(closer):
+        while self.tokens[self.i].text != closer:
             items.append(parse_item())
             self.skip_newlines()
-            if self.at(","):
-                self.advance()
+            tok = self.tokens[self.i]
+            if tok.text == ",":
+                self.i += 1
                 self.skip_newlines()
-            elif not self.at(closer):
-                raise ParseError(f"expected ',' or {closer!r}, found {self.cur}", self.cur.pos)
+            elif tok.text != closer:
+                raise ParseError(f"expected ',' or {closer!r}, found {tok}", tok.pos)
         return items
 
     # -- types ---------------------------------------------------------------
 
     def parse_type(self) -> ast.TypeNode:
-        tok = self.cur
-        if self.at("["):
-            self.advance()
+        tok = self.tokens[self.i]
+        if tok.kind is TokenKind.IDENT:
+            self.i += 1
+            return ast.NamedTypeNode(name=tok.text, pos=tok.pos)
+        if tok.text == "bool":
+            self.i += 1
+            return ast.BoolTypeNode(pos=tok.pos)
+        if tok.text == "channel":
+            return self.parse_chan_type()
+        if tok.text == "[":
+            self.i += 1
             self.expect("]", "after '[' in a channel-array type")
             elem = self.parse_chan_type()
             return ast.ChanArrayTypeNode(elem=elem, pos=tok.pos)
-        if self.at("channel"):
-            return self.parse_chan_type()
-        if self.at("bool"):
-            self.advance()
-            return ast.BoolTypeNode(pos=tok.pos)
-        if self.at_ident():
-            self.advance()
-            return ast.NamedTypeNode(name=tok.text, pos=tok.pos)
         raise ParseError(f"expected a type, found {tok}", tok.pos)
 
     def parse_chan_type(self) -> ast.ChanTypeNode:
         kw = self.expect("channel", "to start a channel type")
         capacity: int | None = None
         if self.at("["):
-            self.advance()
-            num = self.cur
+            num = self.tokens[self.i + 1]
             if num.kind is not TokenKind.NUMBER:
                 raise ParseError(f"expected a buffer capacity, found {num}", num.pos)
-            self.advance()
+            self.i += 2
             digits = num.text.lstrip("0")
             if len(digits) > 9:  # int() refuses strings past 4300 digits
                 raise ParseError("buffer capacity is too large", num.pos)
@@ -289,51 +287,48 @@ class _Parser:
         self.enter(open_tok)
         stmts: list[ast.Stmt] = []
         self.skip_separators()
-        while not self.at("}"):
+        while self.tokens[self.i].text != "}":
             stmts.append(self.parse_stmt())
-            if self.at(";"):
+            tok = self.tokens[self.i]
+            if tok.text == ";":
                 self.skip_separators()
-            elif not self.at("}"):
+            elif tok.text != "}":
                 raise ParseError(
-                    f"expected ';', newline or '}}' after a statement, found {self.cur}",
-                    self.cur.pos,
+                    f"expected ';', newline or '}}' after a statement, found {tok}", tok.pos
                 )
-        self.expect("}", "to close the block")
+        self.i += 1  # the "}" that ended the loop
         self.leave()
         return ast.Block(stmts=tuple(stmts), pos=open_tok.pos)
 
     def parse_stmt(self) -> ast.Stmt:
-        tok = self.cur
-        if self.at("var"):
+        tok = self.tokens[self.i]
+        text = tok.text
+        if tok.kind is TokenKind.IDENT and self.tokens[self.i + 1].text == "=":
+            self.i += 2
+            value = self.parse_rhs()
+            return ast.Assign(name=text, value=value, pos=tok.pos)
+        if text == "var":
             return self.parse_var_decl()
-        if self.at("if"):
-            return self.parse_if()
-        if self.at("for"):
-            return self.parse_for()
-        if self.at("choice"):
-            return self.parse_choice()
-        if self.at("send"):
-            self.advance()
+        if text == "send":
+            self.i += 1
             chan, rest = self.parse_messaging_args(values=True)
             if not rest:
                 raise ParseError("send needs at least one value after the channel", tok.pos)
             return ast.Send(channel=chan, values=tuple(rest), pos=tok.pos)
-        if self.at("recv") or self.at("peek"):
-            form = self.advance().text
+        if text == "for":
+            return self.parse_for()
+        if text == "recv" or text == "peek":
+            self.i += 1
             chan, names = self.parse_messaging_args(values=False)
             if not names:
-                raise ParseError(f"{form} needs at least one target variable", tok.pos)
-            return ast.Recv(form=form, channel=chan, targets=tuple(names), pos=tok.pos)
-        if self.at_ident() and self.peek().text == "=":
-            name = self.advance()
-            self.expect("=", "in assignment")
-            value = self.parse_rhs()
-            return ast.Assign(name=name.text, value=value, pos=name.pos)
+                raise ParseError(f"{text} needs at least one target variable", tok.pos)
+            return ast.Recv(form=text, channel=chan, targets=tuple(names), pos=tok.pos)
+        if text == "if":
+            return self.parse_if()
+        if text == "choice":
+            return self.parse_choice()
         expr = self.parse_expr()
         return ast.ExprStmt(expr=expr, pos=tok.pos)
-
-    def peek(self) -> Token:
-        return self.tokens[min(self.i + 1, len(self.tokens) - 1)]
 
     def parse_var_decl(self) -> ast.VarDecl:
         kw = self.expect("var", "to start a variable declaration")
@@ -341,19 +336,21 @@ class _Parser:
         ty = self.parse_type()
         init = None
         if self.at("="):
-            self.advance()
+            self.i += 1
             init = self.parse_rhs()
         return ast.VarDecl(name=name.text, type=ty, init=init, pos=kw.pos)
 
     def parse_rhs(self) -> ast.Expr:
         """Right-hand side of `=` or an if condition: a receive expression or an
         ordinary expression."""
-        if self.at("timeout_recv") or self.at("nonblock_recv"):
+        text = self.tokens[self.i].text
+        if text == "timeout_recv" or text == "nonblock_recv":
             return self.parse_recv_expr()
         return self.parse_expr()
 
     def parse_recv_expr(self) -> ast.RecvExpr:
-        form_tok = self.advance()
+        form_tok = self.tokens[self.i]
+        self.i += 1
         chan, names = self.parse_messaging_args(values=False)
         if not names:
             raise ParseError(f"{form_tok.text} needs at least one target variable", form_tok.pos)
@@ -369,7 +366,7 @@ class _Parser:
         rest = []
         self.skip_newlines()
         while self.at(","):
-            self.advance()
+            self.i += 1
             self.skip_newlines()
             if self.at(")"):
                 break
@@ -387,9 +384,9 @@ class _Parser:
         then = self.parse_block()
         els = None
         if self.at("else"):
-            self.advance()
+            self.i += 1
             if self.at("if"):
-                self.enter(self.cur)
+                self.enter(self.tokens[self.i])
                 nested = self.parse_if()
                 self.leave()
                 els = ast.Block(stmts=(nested,), pos=nested.pos)
@@ -409,7 +406,7 @@ class _Parser:
         kw = self.expect("choice", "to start a choice statement")
         blocks = [self.parse_block()]
         while self.at(","):
-            self.advance()
+            self.i += 1
             self.skip_newlines()
             blocks.append(self.parse_block())
         if len(blocks) < 2:
@@ -420,63 +417,72 @@ class _Parser:
 
     def parse_expr(self) -> ast.Expr:
         """A whole expression; a parenthesized one is part of the enclosing tree."""
-        start = self.cur
+        start = self.i
         expr = self.parse_binary(0)
-        if _too_deep(expr):
-            raise ParseError(f"expression is deeper than {_MAX_EXPR_DEPTH} levels", start.pos)
+        # Every node takes a token, so a shorter expression cannot be too deep.
+        if self.i - start > _MAX_EXPR_DEPTH and _too_deep(expr):
+            pos = self.tokens[start].pos
+            raise ParseError(f"expression is deeper than {_MAX_EXPR_DEPTH} levels", pos)
         return expr
 
-    def parse_binary(self, level: int) -> ast.Expr:
-        """Operators of ast.BINARY_LEVELS[level] and tighter; `->` opens a nesting level."""
-        if level == len(ast.BINARY_LEVELS):
-            return self.parse_unary()
-        ops = ast.BINARY_LEVELS[level]
-        left = self.parse_binary(level + 1)
-        while self.tokens[self.i].text in ops:
-            op = self.advance()
-            if op.text == "->":
+    def parse_binary(self, min_level: int) -> ast.Expr:
+        """Operators of ast.BINARY_LEVELS[min_level] and tighter, by precedence
+        climbing.  `->` associates to the right and opens a nesting level; `||`
+        and `&&` associate to the left; `==` and `!=` take unary operands, so a
+        second one is left for the caller to reject."""
+        left = self.parse_unary()
+        top = _EQUALITY  # the tightest level that may follow `left`: see the docstring
+        while True:
+            op = self.tokens[self.i]
+            level = _LEVELS.get(op.text, -1)
+            if not min_level <= level <= top:
+                return left
+            self.i += 1
+            if level == 0:  # "->"
                 self.enter(op)
-                right = self.parse_binary(level)
+                right = self.parse_binary(0)
                 self.leave()
                 return ast.Binary(op="->", left=left, right=right, pos=op.pos)
-            right = self.parse_binary(level + 1)
+            right = self.parse_unary() if level == _EQUALITY else self.parse_binary(level + 1)
             left = ast.Binary(op=op.text, left=left, right=right, pos=op.pos)
-            if op.text in ("==", "!="):
-                break
-        return left
+            top = _EQUALITY - 1
 
     def parse_unary(self) -> ast.Expr:
-        if self.at("!") or (self.ltl and self.at_ident() and self.cur.text in ("G", "F")
-                            and _starts_operand(self.peek())):
-            op = self.advance()
-            self.enter(op)
+        tok = self.tokens[self.i]
+        text = tok.text
+        if text == "!" or (self.ltl and (text == "G" or text == "F")
+                           and _starts_operand(self.tokens[self.i + 1])):
+            self.i += 1
+            self.enter(tok)
             operand = self.parse_unary()
             self.leave()
-            if op.text == "!":
-                return ast.Unary(op="!", operand=operand, pos=op.pos)
-            return ast.Temporal(op=op.text, operand=operand, pos=op.pos)
+            if text == "!":
+                return ast.Unary(op="!", operand=operand, pos=tok.pos)
+            return ast.Temporal(op=text, operand=operand, pos=tok.pos)
         return self.parse_primary()
 
     def parse_primary(self) -> ast.Expr:
-        tok = self.cur
-        if self.at("("):
-            self.enter(self.advance())
+        tok = self.tokens[self.i]
+        if tok.kind is TokenKind.IDENT:
+            self.i += 1
+            if self.tokens[self.i].text == ".":
+                self.i += 1
+                member = self.expect_ident("after '.'")
+                return ast.Qualified(instance=tok.text, variable=member.text, pos=tok.pos)
+            return ast.Name(ident=tok.text, pos=tok.pos)
+        text = tok.text
+        if text == "(":
+            self.i += 1
+            self.enter(tok)
             self.skip_newlines()
             inner = self.parse_binary(0)
             self.skip_newlines()
             self.expect(")", "to close the parenthesized expression")
             self.leave()
             return inner
-        if self.at("true") or self.at("false"):
-            self.advance()
-            return ast.BoolLit(value=tok.text == "true", pos=tok.pos)
-        if self.at_ident():
-            self.advance()
-            if self.at("."):
-                self.advance()
-                member = self.expect_ident("after '.'")
-                return ast.Qualified(instance=tok.text, variable=member.text, pos=tok.pos)
-            return ast.Name(ident=tok.text, pos=tok.pos)
+        if text == "true" or text == "false":
+            self.i += 1
+            return ast.BoolLit(value=text == "true", pos=tok.pos)
         raise ParseError(f"expected an expression, found {tok}", tok.pos)
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -7,8 +9,19 @@ from sandalc.errors import LexError, Pos
 from sandalc.lexer import KEYWORDS, PUNCTUATIONS, Token, TokenKind, tokenize
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def kinds_and_texts(tokens):
     return [(t.kind, t.text) for t in tokens]
+
+
+def _assert_texts_belong_to_their_kinds(tokens):
+    """The parser tests a keyword or punctuation by its text alone."""
+    for t in tokens:
+        assert (t.text in KEYWORDS) == (t.kind is TokenKind.KEYWORD)
+        assert (t.text in PUNCTUATIONS) == (t.kind is TokenKind.PUNCT)
+        assert type(t.pos) is Pos
 
 
 def test_empty_source_is_just_eof():
@@ -179,13 +192,15 @@ _ENDS_STATEMENT = {")", "]", "}", "true", "false", "bool"}
 def test_tokens_cover_the_source(pieces, tail):
     """Whatever the lexer's design, on text made of token texts, blanks, comments
     and newlines: each token's text is at its position, the text between tokens
-    is only blanks, comments and newlines, and a synthetic ";" follows a token
-    that ends a statement and sits on a newline or at the end of input."""
+    is only blanks, comments and newlines, a synthetic ";" follows a token
+    that ends a statement and sits on a newline or at the end of input, and a
+    keyword or punctuation text is given only to a token of that kind."""
     source = "".join(gap + text for gap, text in pieces) + tail
     try:
         tokens = tokenize(source)
     except LexError:
         assume(False)  # a marker run into a name, such as "@dropx"
+    _assert_texts_belong_to_their_kinds(tokens)
     line_offsets = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
 
     def offset(tok):
@@ -206,3 +221,11 @@ def test_tokens_cover_the_source(pieces, tail):
             assert line.split("//", 1)[0].strip(" \t\r") == ""
         covered = start + len(tok.text)
     assert tokens[-1].kind is TokenKind.EOF and covered == len(source)
+
+
+def test_keyword_and_punctuation_texts_belong_to_their_kinds():
+    sources = [corpus_source(name) for name in MODEL_NAMES]
+    sources += [p.read_text() for p in sorted(GOLDEN.glob("*.sandal"))]
+    for source in sources:
+        _assert_texts_belong_to_their_kinds(tokenize(source))
+

@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,9 +8,12 @@ from hypothesis import strategies as st
 from sandalc import syntax as ast
 from sandalc.corpus import MODEL_NAMES, corpus_source
 from sandalc.errors import ParseError
-from sandalc.parser import parse_source
+from sandalc.lexer import tokenize
+from sandalc.parser import parse_model, parse_source
 from sandalc.pipeline import build_model
 from printer import print_expr, print_model
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_pingpong_shape():
@@ -266,3 +272,39 @@ def test_printed_expressions_parse_back(expr, formula):
     model = parse_source(source)
     assert model.proc_decls[0].body.stmts[0].value == expr
     assert [spec.formula for spec in model.ltl_specs] == [expr, formula]
+
+
+def _mutation_outcomes():
+    """One outcome line per one-token mutation of every corpus and golden model:
+    each token but the final EOF in turn deleted, then duplicated."""
+    sources = [corpus_source(name) for name in MODEL_NAMES]
+    sources += [p.read_text() for p in sorted(GOLDEN.glob("*.sandal"))]
+    lines = []
+    for source in sources:
+        tokens = tokenize(source)
+        for i in range(len(tokens) - 1):
+            for variant in (tokens[:i] + tokens[i + 1:], tokens[:i + 1] + tokens[i:]):
+                try:
+                    lines.append("ok " + print_model(parse_model(variant)))
+                except ParseError as e:
+                    lines.append(f"{type(e).__name__} {e.pos} {e.message}")
+    return lines
+
+
+def _digest(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_token_mutations_keep_their_outcome():
+    """The printed tree or the diagnostic, with its position, of each of 4,554
+    malformed token lists is pinned by one digest.  Regenerate it, only for an
+    intended change of the parser's output, with
+        PYTHONPATH=src python tests/test_parser.py
+    and review why the outcomes changed."""
+    lines = _mutation_outcomes()
+    assert len(lines) == 4554
+    assert _digest(lines) == "bf341422776adf7304841f8c7790e0e5930b53c1b4a2728560be372e97476ee2"
+
+
+if __name__ == "__main__":
+    print(_digest(_mutation_outcomes()))
