@@ -56,7 +56,10 @@ each step, the first step of `successors` that reaches the next state,
 which is the one the search kept.
 
 Counterexamples are replayable: applying the recorded labels from the initial
-state reproduces the recorded states exactly.
+state reproduces the recorded states exactly.  A verdict is its counterexample,
+or None when the spec holds, and the number of states explored; PASS and FAIL
+are read off the counterexample.  A step keeps its process index, and the
+trace printer looks its name up.
 """
 
 from __future__ import annotations
@@ -384,7 +387,6 @@ class Result(enum.Enum):
 @record
 class Step:
     proc: int | None  # None for the stutter step
-    proc_name: str
     label: str
     state: GlobalState
 
@@ -398,14 +400,17 @@ class Counterexample:
 
 @record
 class Verdict:
-    result: Result
-    counterexample: Counterexample | None = None
+    counterexample: Counterexample | None  # None: the spec holds
     # Distinct states the search had discovered when it stopped.
-    states_explored: int = 0
+    states_explored: int
 
     @property
     def passed(self) -> bool:
-        return self.result is Result.PASS
+        return self.counterexample is None
+
+    @property
+    def result(self) -> Result:
+        return Result.PASS if self.counterexample is None else Result.FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -536,12 +541,11 @@ class _Collapsed:
         """The steps from the initial key to `key`.  The search kept, for each
         key, the first step of `successors` from its parent that reaches it,
         so that is the step taken here."""
-        names = [p.name for p in self.cs.instance.processes]
         steps: list[Step] = []
         while parents[key] is not None:  # a path never stutters
             key, state = parents[key], self.decode(key)
             steps.append(next(
-                Step(i, names[i], label, state)
+                Step(i, label, state)
                 for i, label, nxt in successors(self.cs, self.decode(key))
                 if nxt == state
             ))
@@ -611,15 +615,15 @@ def _search(space: _Collapsed, init: int, pattern: str, max_states: int) -> Verd
         space.clear()
         exc.states = count
         raise
-    return Verdict(Result.PASS, None, len(parents))
+    return Verdict(None, len(parents))
 
 
 def _refuted(space: _Collapsed, parents: dict, init: int, key: int, lasso: bool) -> Verdict:
     """The FAIL verdict whose counterexample is the path to `key`; with
     `lasso`, one stutter step at its state closes it into a loop."""
-    loop = (Step(None, STUTTER_NAME, STUTTER_LABEL, space.decode(key)),) if lasso else None
+    loop = (Step(None, STUTTER_LABEL, space.decode(key)),) if lasso else None
     cex = Counterexample(space.decode(init), space.path_to(parents, key), loop)
-    return Verdict(Result.FAIL, cex, len(parents))
+    return Verdict(cex, len(parents))
 
 
 def check_spec(
@@ -687,6 +691,7 @@ def _state_fields(cs: CompiledSystem, state: GlobalState) -> dict[str, str]:
 
 def format_trace(cs: CompiledSystem, cex: Counterexample) -> str:
     """Numbered steps with changed-variable diffs; lassos end in a LOOP line."""
+    names = [p.name for p in cs.instance.processes]
     lines = ["counterexample:"]
     prev_fields = _state_fields(cs, cex.initial)
     lines.append("  initial: " + ", ".join(f"{k}={v}" for k, v in prev_fields.items()))
@@ -695,7 +700,8 @@ def format_trace(cs: CompiledSystem, cex: Counterexample) -> str:
         marker = ""
         if cex.loop and k == len(cex.prefix) + 1:
             marker = " (loop starts)"
-        lines.append(f"#{k} {step.proc_name}: {step.label}{marker}")
+        name = STUTTER_NAME if step.proc is None else names[step.proc]
+        lines.append(f"#{k} {name}: {step.label}{marker}")
         fields = _state_fields(cs, step.state)
         for key, value in fields.items():
             if prev_fields[key] != value:

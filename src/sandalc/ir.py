@@ -38,7 +38,7 @@ from . import syntax as ast
 from .errors import NO_POS, Pos
 from .pretty import print_expr
 from .record import record
-from .sema import CheckedModel, PBin, PBool, PEnum, PNot, SlotInfo, Value, render, render_value
+from .sema import CheckedModel, PBin, PBool, PEnum, PNot, Value, render, render_value, zero_value
 
 NORMAL = "normal"
 TIMEOUT = "timeout"
@@ -181,12 +181,12 @@ class ProcessAutomaton:
     entry: int
     terminal: int
     transitions: tuple[Transition, ...]
-    locals: tuple[SlotInfo, ...]
+    locals: tuple[sema.LocalVar, ...]  # by slot; each starts at zero_value(type)
     shutdown_loc: int | None = None
 
     @property
     def initial_locals(self) -> tuple[Value, ...]:
-        return tuple(slot.zero for slot in self.locals)
+        return tuple(zero_value(var.type) for var in self.locals)
 
 
 @record
@@ -292,11 +292,11 @@ class _Lowerer:
         return self.add(entry, TRUE, (), "expr", print_expr(stmt.expr), stmt.pos)
 
     def lower_var(self, stmt: ast.VarDecl, entry: int) -> list[list]:
-        slot = self.info.resolved[id(stmt)].slot
+        var = self.info.resolved[id(stmt)]
         lhs = f"var {stmt.name}"
         if stmt.init is not None:
-            return self.lower_store(slot, stmt.init, lhs, "var", stmt.pos, entry)
-        zero = ASetVar(slot, _const_to_expr(self.info.slots[slot].zero))
+            return self.lower_store(var.slot, stmt.init, lhs, "var", stmt.pos, entry)
+        zero = ASetVar(var.slot, _const_to_expr(zero_value(var.type)))
         return self.add(entry, TRUE, (zero,), "var", lhs, stmt.pos)
 
     def lower_store(

@@ -2,11 +2,13 @@
 
 resolve_and_check validates a ModelAST against the typing rules in one walk
 per construct.  For each template it fills one table, `TemplateInfo.resolved`,
-with what every body node that lowering reads resolved to.  Checking the
-init-block binds it: it yields the concrete channels and the concrete
-processes with their channel and value bindings.  Checking an ltl formula
-resolves it: its atoms become (process index, variable slot) pairs.  So the
-CheckedModel is already the system instance, and instantiate returns it.
+with what every body node that lowering reads resolved to.  A local variable
+is one LocalVar, both its name's binding and its row in `TemplateInfo.slots`;
+its initial value is `zero_value` of its type.  Checking the init-block binds
+it: it yields the concrete channels and the concrete processes with their
+channel and value bindings.  Checking an ltl formula resolves it: its atoms
+become (process index, variable slot) pairs, and printers look the names up.
+So the CheckedModel is already the system instance, and instantiate returns it.
 
 PBool, PEnum, PNot and PBin are the compiler's one set of literal, not and
 binary nodes: ltl formulas add PAtom and PTemporal to them, and the guards and
@@ -85,6 +87,7 @@ def zero_value(ty: ValueType) -> Value:
 @record
 class LocalVar:
     slot: int
+    name: str  # display name, disambiguated when shadowed
     type: ValueType
 
 
@@ -110,14 +113,6 @@ Binding = LocalVar | Param | LoopChannel | EnumConst
 
 
 @record
-class SlotInfo:
-    name: str  # display name, disambiguated when shadowed
-    src_name: str
-    type: ValueType
-    zero: Value
-
-
-@record
 class TemplateInfo:
     """Symbol tables for one process template.  `resolved` maps the id() of
     a body node to what it resolved to: a Name to its binding, a VarDecl or
@@ -125,7 +120,7 @@ class TemplateInfo:
 
     template: ast.ProcTemplate
     params: dict[str, Param]
-    slots: list[SlotInfo]
+    slots: list[LocalVar]  # by slot
     body_level: dict[str, int]  # proc-body-level variable name -> slot
     resolved: dict[int, Binding | tuple[int, ...]]
 
@@ -141,11 +136,8 @@ class Prop:
 
 @record
 class PAtom(Prop):
-    proc: int
-    slot: int
-    proc_name: str
-    var_name: str
-    type: ValueType
+    proc: int  # index into CheckedModel.processes
+    slot: int  # index into that process's TemplateInfo.slots
 
 
 @record
@@ -224,7 +216,6 @@ class ResolvedSpec:
 @record
 class CheckedModel:
     enums: dict[str, EnumType]
-    constructors: dict[str, EnumType]
     templates: dict[str, TemplateInfo]
     channels: tuple[ChannelDecl, ...]  # init-block channels, in order
     processes: tuple[ProcessDecl, ...]  # init-block processes, in order
@@ -326,12 +317,11 @@ class _TemplateChecker:
             display = f"{decl.name}_{n}"
             n += 1
         self.slot_names.add(display)
-        self.info.slots.append(
-            SlotInfo(name=display, src_name=decl.name, type=ty, zero=zero_value(ty))
-        )
+        var = LocalVar(slot, display, ty)
+        self.info.slots.append(var)
         if body_level:
             self.info.body_level[decl.name] = slot
-        scope[decl.name] = self.info.resolved[id(decl)] = LocalVar(slot=slot, type=ty)
+        scope[decl.name] = self.info.resolved[id(decl)] = var
 
     # -- statements
 
@@ -525,7 +515,6 @@ def resolve_and_check(model: ast.ModelAST) -> CheckedModel:
         specs.append(ResolvedSpec(formula=formula, text=print_expr(spec.formula)))
     return CheckedModel(
         enums=enums,
-        constructors=constructors,
         templates=templates,
         channels=channels,
         processes=processes,
@@ -646,8 +635,7 @@ def _resolve_ltl(
                 expr.pos,
             )
         slot = info.body_level[expr.variable]
-        ty = info.slots[slot].type
-        return PAtom(proc, slot, expr.instance, expr.variable, ty), ty
+        return PAtom(proc, slot), info.slots[slot].type
     if isinstance(expr, ast.Name):
         if expr.ident not in constructors:
             raise NameResolutionError(

@@ -97,16 +97,12 @@ class _Sanitizer:
 
 @record
 class SmvDocument:
-    channel_modules: tuple[tuple[str, str], ...]  # (module name, module text)
-    process_modules: tuple[tuple[str, str], ...]
-    main_module: str
-    spec_lines: tuple[str, ...]
+    channel_modules: tuple[str, ...]  # module texts
+    process_modules: tuple[str, ...]
+    main_module: str  # ends in the LTLSPEC lines
 
     def render(self) -> str:
-        parts = [text for _, text in self.channel_modules]
-        parts += [text for _, text in self.process_modules]
-        parts.append(self.main_module)
-        return "\n".join(parts)
+        return "\n".join((*self.channel_modules, *self.process_modules, self.main_module))
 
 
 class _Emitter:
@@ -298,12 +294,12 @@ class _Emitter:
         return "\n".join(lines)
 
 
-def module(name: str, fields: list[_Field]) -> tuple[str, str]:
+def module(name: str, fields: list[_Field]) -> str:
     """A component module: its VAR declarations and one INIT, from its fields."""
     lines = [f"MODULE {name}", "  VAR"]
     lines += [f"    {field} : {ty};" for field, ty, _ in fields]
     lines.append("  INIT " + " & ".join(init for _, _, init in fields) + ";")
-    return name, "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 def emit_smv(system: CheckedModel, automata) -> SmvDocument:
@@ -320,5 +316,4 @@ def emit_smv(system: CheckedModel, automata) -> SmvDocument:
         channel_modules=modules[:n_chans],
         process_modules=modules[n_chans:],
         main_module=emitter.main_module(components, specs),
-        spec_lines=specs,
     )

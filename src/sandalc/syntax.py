@@ -28,18 +28,18 @@ class BoolTypeNode(TypeNode):
 
 @record
 class NamedTypeNode(TypeNode):
-    name: str = ""
+    name: str
 
 
 @record
 class ChanTypeNode(TypeNode):
-    payload: tuple[TypeNode, ...] = ()
-    capacity: int | None = None  # None: rendezvous; N >= 1: buffered
+    payload: tuple[TypeNode, ...]
+    capacity: int | None  # None: rendezvous; N >= 1: buffered
 
 
 @record
 class ChanArrayTypeNode(TypeNode):
-    elem: ChanTypeNode = None  # type: ignore[assignment]
+    elem: ChanTypeNode
 
 
 # ---------------------------------------------------------------------------
@@ -53,26 +53,26 @@ class Expr:
 
 @record
 class BoolLit(Expr):
-    value: bool = False
+    value: bool
 
 
 @record
 class Name(Expr):
-    ident: str = ""
+    ident: str
 
 
 @record
 class Qualified(Expr):
     """Dotted reference `instance.variable`; meaningful only in ltl blocks."""
 
-    instance: str = ""
-    variable: str = ""
+    instance: str
+    variable: str
 
 
 @record
 class Unary(Expr):
-    op: str = "!"
-    operand: Expr = None  # type: ignore[assignment]
+    op: str  # "!"
+    operand: Expr
 
 
 # The binary operators by precedence level, loosest first.  `->` associates
@@ -82,33 +82,33 @@ BINARY_LEVELS = (("->",), ("||",), ("&&",), ("==", "!="))
 
 @record
 class Binary(Expr):
-    op: str = ""  # one of BINARY_LEVELS
-    left: Expr = None  # type: ignore[assignment]
-    right: Expr = None  # type: ignore[assignment]
+    op: str  # one of BINARY_LEVELS
+    left: Expr
+    right: Expr
 
 
 @record
 class Temporal(Expr):
     """G or F applied to a formula; only produced inside ltl blocks."""
 
-    op: str = "G"
-    operand: Expr = None  # type: ignore[assignment]
+    op: str  # "G" or "F"
+    operand: Expr
 
 
 @record
 class RecvExpr(Expr):
     """timeout_recv / nonblock_recv; boolean-valued receive with targets."""
 
-    form: str = "timeout_recv"  # or "nonblock_recv"
-    channel: Expr = None  # type: ignore[assignment]
-    targets: tuple[str, ...] = ()
+    form: str  # "timeout_recv" or "nonblock_recv"
+    channel: Expr
+    targets: tuple[str, ...]
 
 
 @record
 class ArrayLit(Expr):
     """[a, b, ...]; legal only as a process-instantiation argument."""
 
-    elements: tuple[Expr, ...] = ()
+    elements: tuple[Expr, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -122,27 +122,27 @@ class Stmt:
 
 @record
 class Block:
-    stmts: tuple[Stmt, ...] = ()
+    stmts: tuple[Stmt, ...]
     pos: Pos = Hidden(NO_POS)
 
 
 @record
 class VarDecl(Stmt):
-    name: str = ""
-    type: TypeNode = None  # type: ignore[assignment]
-    init: Expr | None = None
+    name: str
+    type: TypeNode
+    init: Expr | None  # None: no initializer
 
 
 @record
 class Assign(Stmt):
-    name: str = ""
-    value: Expr = None  # type: ignore[assignment]
+    name: str
+    value: Expr
 
 
 @record
 class Send(Stmt):
-    channel: Expr = None  # type: ignore[assignment]
-    values: tuple[Expr, ...] = ()
+    channel: Expr
+    values: tuple[Expr, ...]
 
 
 @record
@@ -150,33 +150,33 @@ class Recv(Stmt):
     """A receive statement: recv, or peek, which leaves the message in its
     buffered channel."""
 
-    form: str = "recv"  # or "peek"
-    channel: Expr = None  # type: ignore[assignment]
-    targets: tuple[str, ...] = ()
+    form: str  # "recv" or "peek"
+    channel: Expr
+    targets: tuple[str, ...]
 
 
 @record
 class If(Stmt):
-    cond: Expr = None  # type: ignore[assignment]
-    then: Block = None  # type: ignore[assignment]
-    els: Block | None = None
+    cond: Expr
+    then: Block
+    els: Block | None  # None: no else branch
 
 
 @record
 class For(Stmt):
-    var: str = ""
-    iterable: Expr = None  # type: ignore[assignment]
-    body: Block = None  # type: ignore[assignment]
+    var: str
+    iterable: Expr
+    body: Block
 
 
 @record
 class Choice(Stmt):
-    blocks: tuple[Block, ...] = ()
+    blocks: tuple[Block, ...]
 
 
 @record
 class ExprStmt(Stmt):
-    expr: Expr = None  # type: ignore[assignment]
+    expr: Expr
 
 
 # ---------------------------------------------------------------------------
@@ -185,42 +185,42 @@ class ExprStmt(Stmt):
 
 @record
 class Param:
-    name: str = ""
-    type: TypeNode = None  # type: ignore[assignment]
+    name: str
+    type: TypeNode
     pos: Pos = Hidden(NO_POS)
 
 
 @record
 class DataDecl:
-    name: str = ""
-    constructors: tuple[str, ...] = ()
+    name: str
+    constructors: tuple[str, ...]
     pos: Pos = Hidden(NO_POS)
 
 
 @record
 class ProcTemplate:
-    name: str = ""
-    params: tuple[Param, ...] = ()
-    body: Block = None  # type: ignore[assignment]
+    name: str
+    params: tuple[Param, ...]
+    body: Block
     pos: Pos = Hidden(NO_POS)
 
 
 @record
 class ProcessInstantiation:
-    template: str = ""
-    args: tuple[Expr, ...] = ()
+    template: str
+    args: tuple[Expr, ...]
 
 
 @record
 class ChannelInstantiation:
-    type: ChanTypeNode = None  # type: ignore[assignment]
+    type: ChanTypeNode
 
 
 @record
 class InitEntry:
-    name: str = ""
-    payload: ProcessInstantiation | ChannelInstantiation = None  # type: ignore[assignment]
-    markers: frozenset[str] = frozenset()  # subset of {"shutdown", "drop"}
+    name: str
+    payload: ProcessInstantiation | ChannelInstantiation
+    markers: frozenset[str]  # subset of {"shutdown", "drop"}
     pos: Pos = Hidden(NO_POS)
 
     @property
@@ -230,13 +230,13 @@ class InitEntry:
 
 @record
 class LtlSpec:
-    formula: Expr = None  # type: ignore[assignment]
+    formula: Expr
     pos: Pos = Hidden(NO_POS)
 
 
 @record
 class ModelAST:
-    data_decls: tuple[DataDecl, ...] = ()
-    proc_decls: tuple[ProcTemplate, ...] = ()
-    init_block: tuple[InitEntry, ...] = ()
-    ltl_specs: tuple[LtlSpec, ...] = ()
+    data_decls: tuple[DataDecl, ...]
+    proc_decls: tuple[ProcTemplate, ...]
+    init_block: tuple[InitEntry, ...]
+    ltl_specs: tuple[LtlSpec, ...]

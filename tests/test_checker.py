@@ -28,7 +28,7 @@ from sandalc.checker import (
 from sandalc.corpus import MODEL_NAMES, corpus_source
 from sandalc.pipeline import build_model
 from sandalc.record import replace
-from sandalc.sema import PAtom, PBin, PBool, PEnum, PNot, PTemporal, ResolvedSpec
+from sandalc.sema import PAtom, PBin, PBool, PEnum, PNot, PTemporal, ResolvedSpec, zero_value
 
 from oracles import build_graph, naive_verdict
 
@@ -88,7 +88,8 @@ def test_two_phase_commit_initial_resp_is_first_constructor():
 
     def walk(p):
         if isinstance(p, PAtom):
-            atoms[(p.proc_name, p.var_name)] = p
+            name = built.system.processes[p.proc].name
+            atoms[(name, cs.automata[p.proc].locals[p.slot].name)] = p
         for name in getattr(p, "__record_fields__", {}):
             child = getattr(p, name)
             if hasattr(child, "__record_fields__"):
@@ -142,7 +143,7 @@ def test_eval_prop_boolean_operators():
 
 def test_eval_prop_enum_comparison():
     state = GlobalState(procs=(ProcState(0, ("Ready",)),), chans=())
-    atom = PAtom(proc=0, slot=0, proc_name="w", var_name="resp", type=None)
+    atom = PAtom(proc=0, slot=0)
     assert eval_prop(PBin("==", atom, PEnum("Ready")), state) is True
     assert eval_prop(PNot(PBin("==", atom, PEnum("Commit"))), state) is True
 
@@ -153,8 +154,8 @@ def test_eval_prop_every_node():
         procs=(ProcState(0, (False, "Ready")), ProcState(2, ("Abort", True))),
         chans=(),
     )
-    resp = PAtom(proc=1, slot=0, proc_name="w2", var_name="resp", type=None)
-    done = PAtom(proc=1, slot=1, proc_name="w2", var_name="done", type=None)
+    resp = PAtom(proc=1, slot=0)
+    done = PAtom(proc=1, slot=1)
     cases = [
         (resp, "Abort"),
         (done, True),
@@ -179,7 +180,7 @@ def test_eval_prop_skips_a_right_operand_the_left_decides(op):
     """The right operand reads a process the state lacks, so evaluating it
     raises IndexError; it is evaluated only when the left does not decide."""
     empty = GlobalState(procs=(), chans=())
-    missing = PAtom(proc=3, slot=0, proc_name="ghost", var_name="v", type=None)
+    missing = PAtom(proc=3, slot=0)
     decided = PBin(op, PBool(op == "||"), missing)
     assert eval_prop(decided, empty) is (op != "&&")
     with pytest.raises(IndexError):
@@ -244,7 +245,7 @@ _PROPS_STATE = GlobalState(
 )
 _LEAVES = st.sampled_from(
     [PBool(False), PBool(True), PEnum("Ready"), PEnum("Commit")]
-    + [PAtom(proc, slot, f"p{proc}", f"v{slot}", None) for proc in (0, 1) for slot in (0, 1)]
+    + [PAtom(proc, slot) for proc in (0, 1) for slot in (0, 1)]
 )
 _OPS = ["&&", "||", "->", "==", "!="]
 
@@ -269,7 +270,7 @@ def _props(draw, max_depth=256):
 
 def _chain(depth: int):
     """A left-leaning chain of every binary operator and `!`, depth levels deep."""
-    tree = PAtom(1, 1, "p1", "v1", None)
+    tree = PAtom(1, 1)
     for k in range(depth - 1):
         op = (_OPS + ["!"])[k % 6]
         tree = PNot(tree) if op == "!" else PBin(op, tree, PEnum("Commit"))
@@ -420,11 +421,9 @@ def _props_over_locals(cs):
     locals, and `true`, which reads none."""
 
     def at_zero(proc, slot):
-        info = cs.automata[proc].locals[slot]
-        name = cs.instance.processes[proc].name
-        atom = PAtom(proc, slot, name, info.name, info.type)
-        zero = PBool(info.zero) if isinstance(info.zero, bool) else PEnum(info.zero)
-        return PBin("==", atom, zero)
+        value = zero_value(cs.automata[proc].locals[slot].type)
+        zero = PBool(value) if isinstance(value, bool) else PEnum(value)
+        return PBin("==", PAtom(proc, slot), zero)
 
     props = [PBool(True)]
     owners = [i for i, a in enumerate(cs.automata) if a.locals]
@@ -779,12 +778,12 @@ def test_replay_detects_forged_counterexamples():
     # A G FAIL is a finite path; a loop of one real step from its last state
     # replays, but leaves that state, so it cannot close the lasso.
     drop = build_model(corpus_source("2pc_drop"))
-    determined = PAtom(0, 0, "arbiter", "determined", None)
+    determined = PAtom(0, 0)
     path = check_spec(drop.woven, spec_of("G", PNot(determined))).counterexample
     assert path.prefix and path.loop is None
     last = path.prefix[-1].state
     proc, label, nxt = next(s for s in successors(drop.woven, last) if s[0] is not None)
-    step = Step(proc, drop.system.processes[proc].name, label, nxt)
+    step = Step(proc, label, nxt)
     open_loop = Counterexample(path.initial, path.prefix, (step,))
 
     for cs, forged, message in (

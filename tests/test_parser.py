@@ -229,7 +229,7 @@ def test_ltl_block_can_name_the_constructors_g_and_f():
         ast.Temporal(op="G", operand=ast.Binary(op="==", left=px, right=f)),
         ast.Temporal(op="F", operand=ast.Binary(op="!=", left=g, right=px)),
         ast.Temporal(op="F", operand=ast.Temporal(
-            op="G", operand=ast.Unary(operand=ast.Binary(op="==", left=px, right=g)))),
+            op="G", operand=ast.Unary(op="!", operand=ast.Binary(op="==", left=px, right=g)))),
         ast.Temporal(op="G", operand=ast.BoolLit(value=True)),
     ]
     assert len(build_model(source).system.ltl_specs) == 4

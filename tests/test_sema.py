@@ -19,6 +19,7 @@ from sandalc.sema import (
     PAtom,
     instantiate,
     resolve_and_check,
+    zero_value,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -33,14 +34,29 @@ def build_instance(source):
     return instantiate(check(source))
 
 
+def _nodes(node):
+    """A parse-tree node and every node under it."""
+    yield node
+    for field in node.__record_fields__:
+        value = getattr(node, field)
+        for child in value if isinstance(value, tuple) else (value,):
+            if hasattr(child, "__record_fields__"):
+                yield from _nodes(child)
+
+
 def test_two_phase_commit_resp_typed_in_both_templates():
     checked = check(corpus_source("2pc_allfaults"))
     response = checked.enums["Response"]
     assert isinstance(response, EnumType)
     for template in ("Arbiter", "Worker"):
         info = checked.templates[template]
-        resp_slots = [s for s in info.slots if s.src_name == "resp"]
+        decls = [
+            n for n in _nodes(info.template.body)
+            if isinstance(n, syntax.VarDecl) and n.name == "resp"
+        ]
+        resp_slots = [info.resolved[id(decl)] for decl in decls]
         assert resp_slots and all(s.type == response for s in resp_slots)
+        assert all(info.slots[s.slot] is s for s in resp_slots)
 
 
 def test_wrong_payload_type_rejected():
@@ -117,11 +133,11 @@ def test_instantiate_is_deterministic():
 def test_zero_initialization_rule():
     checked = check(corpus_source("2pc_allfaults"))
     worker = checked.templates["Worker"]
-    resp = next(s for s in worker.slots if s.src_name == "resp")
-    assert resp.zero == "Ready"  # first declared constructor
+    resp = worker.slots[worker.body_level["resp"]]
+    assert zero_value(resp.type) == "Ready"  # first declared constructor
     arbiter = checked.templates["Arbiter"]
-    determined = next(s for s in arbiter.slots if s.src_name == "determined")
-    assert determined.zero is False
+    determined = arbiter.slots[arbiter.body_level["determined"]]
+    assert zero_value(determined.type) is False
 
 
 def test_ltl_atoms_resolve_to_process_and_slot():
@@ -137,16 +153,22 @@ def test_ltl_atoms_resolve_to_process_and_slot():
                 walk(child)
 
     walk(formula)
-    names = {(a.proc_name, a.var_name) for a in atoms}
+
+    def name(atom):
+        proc = instance.processes[atom.proc]
+        return proc.name, instance.template_info(proc).slots[atom.slot].name
+
+    names = {name(a) for a in atoms}
     assert names == {
         ("arbiter", "determined"),
         ("arbiter", "all_ready"),
         ("worker1", "resp"),
         ("worker2", "resp"),
     }
-    arbiter_atom = next(a for a in atoms if a.var_name == "determined")
+    arbiter_atom = next(a for a in atoms if name(a) == ("arbiter", "determined"))
     assert arbiter_atom.proc == 0
-    assert arbiter_atom.type == BOOL
+    arbiter = instance.template_info(instance.processes[0])
+    assert arbiter.slots[arbiter_atom.slot].type == BOOL
 
 
 class TestRejections:

@@ -20,6 +20,11 @@ def emit(source):
     return emit_smv(built.system, built.woven.automata)
 
 
+def spec_lines(doc):
+    """The LTLSPEC lines, which close main."""
+    return re.findall(r"^  (LTLSPEC .*)$", doc.main_module, re.M)
+
+
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_emission_is_byte_deterministic(name):
     source = corpus_source(name)
@@ -37,7 +42,7 @@ def test_pingpong_document_structure():
     assert len(doc.channel_modules) == 2
     assert len(doc.process_modules) == 2
     assert doc.main_module.startswith("MODULE main")
-    assert doc.spec_lines == ()
+    assert spec_lines(doc) == []
 
 
 def test_two_phase_commit_document_structure():
@@ -45,9 +50,10 @@ def test_two_phase_commit_document_structure():
     assert len(doc.channel_modules) == 4
     assert len(doc.process_modules) == 3
     # every process was woven with a shutdown location
-    assert all("shutdown" in text for _, text in doc.process_modules)
-    assert len(doc.spec_lines) == 1
-    assert doc.spec_lines[0].startswith("LTLSPEC F (G (")
+    assert all("shutdown" in text for text in doc.process_modules)
+    [spec] = spec_lines(doc)
+    assert spec.startswith("LTLSPEC F (G (")
+    assert doc.main_module.endswith(f"  {spec}\n")
     # skip edges for dropped channels appear as extra transitions in main:
     # each dropped send adds one unconditional location jump
     assert doc.main_module.count("en_arbiter_") >= 27 + 6  # crashes + drops included
@@ -88,7 +94,7 @@ def test_empty_system_emits_bare_main():
     doc = emit("init {}")
     assert doc.channel_modules == ()
     assert doc.process_modules == ()
-    assert doc.spec_lines == ()
+    assert spec_lines(doc) == []
     assert "MODULE main" in doc.main_module
 
 
@@ -99,7 +105,7 @@ def test_reserved_word_constructors_are_sanitized():
         "init { c: channel { V }, p: P(c) }"
     )
     doc = emit(source)
-    chan_text = doc.channel_modules[0][1]
+    chan_text = doc.channel_modules[0]
     assert "{TRUE_, MODULE_2, next_2}" in chan_text.replace(", ", ", ")
 
 
@@ -121,7 +127,7 @@ def test_bookkeeping_names_dodge_user_names():
     symbols = symbols.split(", ")
     assert len(symbols) == len(set(symbols))
     assert not {"t_none", "t_p_0"} & set(symbols)
-    assert "{t_none, t_p_0}" in doc.channel_modules[0][1]
+    assert "{t_none, t_p_0}" in doc.channel_modules[0]
     assert f"INIT {step_var} = {symbols[-1]};" in main
 
 
@@ -157,8 +163,8 @@ def test_keep_rules_name_exactly_the_writers(source):
     doc = emit(source)
     main = doc.main_module
     fields_of = {
-        name: re.findall(r"^    (\w+) : ", text, re.M)
-        for name, text in doc.channel_modules + doc.process_modules
+        re.match(r"MODULE (\w+)\n", text)[1]: re.findall(r"^    (\w+) : ", text, re.M)
+        for text in doc.channel_modules + doc.process_modules
     }
     fields = [
         f"{instance}.{field}"
@@ -234,7 +240,7 @@ def test_formula_outside_checker_fragment_still_emits():
         "ltl { G (F (G (p.x))) }\n"
     )
     doc = emit(source)
-    assert doc.spec_lines == ("LTLSPEC G (F (G (p.x)));",)
+    assert spec_lines(doc) == ["LTLSPEC G (F (G (p.x)));"]
 
 
 def test_buffered_channel_encoding():
@@ -244,7 +250,7 @@ def test_buffered_channel_encoding():
         "init { c: channel [2] { bool }, s: S(c), r: R(c) }"
     )
     doc = emit(source)
-    chan_text = doc.channel_modules[0][1]
+    chan_text = doc.channel_modules[0]
     assert "len : 0..2;" in chan_text
     assert "q0_0" in chan_text and "q1_0" in chan_text
     assert "c.len < 2" in doc.main_module  # send guard
