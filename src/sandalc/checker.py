@@ -33,27 +33,24 @@ reads the pre-state, a later write to the same slot wins, and a later write
 to a channel replaces its whole record.
 
 The search itself stores collapsed states, as SPIN's COLLAPSE mode does,
-packed into one int as SPIN packs its state vector.  A key has one 32-bit
-field per process record and one per channel record, each the record's id
-in a table that lives as long as the search.  A process's enabled moves
-depend only on its local view: its own record and the channels its location
-reads.  The view is the key under a mask that the process's record picks,
-one mask per location, built once per model.  A proposition reads only the
-slots of its atoms, so each record of a process it reads gets a class id,
-one per valuation of those slots, and the key holds one more 32-bit field
-per such process, above every record field, with its class id.  A move
-changes its own record, channels its location reads, and its class id,
-which its own record determines: a function of its view.  So each process
-has a move table keyed by its view, holding one delta per move, and a
-successor is the key plus a delta.
-A miss computes the moves of that one process from its record and the
-channel records, and interns the records they write.  The proposition is
-memoized on the class fields, `key >> top`, so `eval_prop` runs once per
-valuation of its atoms.  An id that would not fit its field raises
-MemoryError: that many records could not be stored.  The search keeps only
-each key's parent key.  A counterexample decodes the path and takes, at
-each step, the first step of `successors` that reaches the next state,
-which is the one the search kept.
+packed into one int as SPIN packs its state vector.  A key has one field per
+process record and one per channel record, each the record's id in a table
+that lives as long as the search, and each sized from a static bound on its
+position's distinct records (see `_bounds`); an id past its field raises
+MemoryError rather than corrupt a key.  A process's enabled moves depend
+only on its view: its own record and the channels its location reads, i.e.
+the key under a mask its record picks.  A proposition reads only the slots
+of its atoms, so each record of a process it reads gets a class id, one per
+valuation of those slots, in one more field per such process from bit `top`
+up.  A move changes its own record, its class id and channels its location
+reads: a function of its view.  So each process has a move table keyed by
+its view, holding one delta per move, and a successor is the key plus a
+delta.  A miss reads only the channel records its location reads, and
+interns the records the process's moves write.  The proposition is memoized
+on `key >> top`, so `eval_prop` runs once per valuation of its atoms.  The
+search keeps only each key's parent key.  A counterexample decodes the path
+and takes, at each step, the first step of `successors` that reaches the
+next state, which is the one the search kept.
 
 Counterexamples are replayable: applying the recorded labels from the initial
 state reproduces the recorded states exactly.  A verdict is its counterexample,
@@ -65,13 +62,15 @@ trace printer looks its name up.
 from __future__ import annotations
 
 import enum
+from itertools import accumulate
+from math import prod
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from . import ir
 from .ir import CompiledSystem, ProcessAutomaton, Transition
 from .record import record
-from .sema import PAtom, PBin, PBool, PEnum, PNot, Prop, PTemporal, ResolvedSpec, Value
+from .sema import EnumType, PAtom, PBin, PBool, PEnum, PNot, Prop, PTemporal, ResolvedSpec, Value
 from .sema import render_value
 
 DEFAULT_MAX_STATES = 10_000_000
@@ -271,39 +270,61 @@ def _read_sets(automaton: ProcessAutomaton) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(r)) for r in reads)
 
 
-# A collapsed key packs one id per record into a field this wide (see
-# _Collapsed).  An id never reaches 2**FIELD_BITS: that many records of one
-# process or channel could not be stored.
-FIELD_BITS = 32
-FIELD = (1 << FIELD_BITS) - 1
+FIELD = (1 << 32) - 1  # the widest key field: more records could not be stored
+
+
+def _bounds(cs: CompiledSystem) -> list[int]:
+    """Per key position, a bound on its distinct records: a process's
+    locations times its locals' valuations, a rendezvous channel's flags
+    times its empty or full buffer, a buffered channel's queues up to its
+    capacity, where a payload is a valuation of its items.  A queue longer
+    than FIELD's bit length already has more valuations than FIELD, so the
+    sum stops there."""
+    size = lambda types: prod(len(t.constructors) if isinstance(t, EnumType) else 2 for t in types)
+    bounds = [a.n_locations * size(v.type for v in a.locals) for a in cs.automata]
+    for chan in cs.instance.channels:
+        p, cap = size(chan.type.payload), chan.type.capacity
+        if cap is None:
+            bounds.append(4 * (p + 1))
+        elif p == 1:
+            bounds.append(cap + 1)
+        else:
+            bounds.append(sum(p**k for k in range(min(cap, FIELD.bit_length()) + 1)))
+    return bounds
 
 
 class _Compiled(NamedTuple):
-    # Per process, per location: the transitions leaving it.
+    # Per process, per location: the transitions leaving it and the channels it reads.
     leaving: tuple[tuple[tuple[Transition, ...], ...], ...]
+    reads: tuple[tuple[tuple[int, ...], ...], ...]
+    # Per key position (processes, then channels): its field's offset in a
+    # collapsed key, then `top`, the offset past the last; and its mask.
+    shifts: tuple[int, ...]
+    fields: tuple[int, ...]
     # Per process, per location: the mask of its view in a collapsed key,
-    # i.e. the fields of its own record and of the channels the location
-    # reads.
+    # the fields of its own record and of the channels the location reads.
     masks: tuple[tuple[int, ...], ...]
 
 
 def _compiled(cs: CompiledSystem) -> _Compiled:
-    """Each automaton's transitions and view masks per location, built on
-    first use and kept on `cs`, so commands that never search never build
-    them.  Building them first checks that every automaton is acyclic."""
+    """Each automaton's transitions, read sets and view masks per location,
+    and the key's fields, built on first use and kept on `cs`, so commands
+    that never search never build them.  Building them first checks that
+    every automaton is acyclic."""
     table = cs.__dict__.get("_compiled")
     if table is None:
         _require_acyclic(cs)
         leaving = tuple(map(_leaving, cs.automata))
-        n_procs = len(cs.automata)
+        reads = tuple(map(_read_sets, cs.automata))
+        widths = [min(max(b - 1, 1).bit_length(), FIELD.bit_length()) for b in _bounds(cs)]
+        shifts = tuple(accumulate(widths, initial=0))
+        fields = tuple((1 << w) - 1 for w in widths)
+        n, placed = len(cs.automata), [f << s for f, s in zip(fields, shifts)]
         masks = tuple(
-            tuple(
-                sum(FIELD << FIELD_BITS * pos for pos in (i, *(n_procs + c for c in r)))
-                for r in _read_sets(automaton)
-            )
-            for i, automaton in enumerate(cs.automata)
+            tuple(placed[i] + sum(placed[n + c] for c in r) for r in sets)
+            for i, sets in enumerate(reads)
         )
-        table = cs.__dict__["_compiled"] = _Compiled(leaving, masks)
+        table = cs.__dict__["_compiled"] = _Compiled(leaving, reads, shifts, fields, masks)
     return table
 
 
@@ -419,34 +440,34 @@ class Verdict:
 
 class _Collapsed:
     """One search's collapsed state space: keys, their records, and the move
-    and proposition memos.  A key is one int of FIELD_BITS-wide fields: one
-    id per process record, in process order, then one per channel record,
-    then, from bit `top` up, one class id per process the atoms of the
-    proposition read.  Everything here lives as long as the search."""
+    and proposition memos.  A key is one int of fields: one id per process
+    record, in process order, then one per channel record, then, from bit
+    `top` up, one class id per process the atoms of the proposition read.
+    Everything here lives as long as the search."""
 
     def __init__(self, cs: CompiledSystem, prop: Prop) -> None:
         self.cs = cs
         self.prop = prop
         self.n_procs = n_procs = len(cs.automata)
-        self.leaving, self.loc_masks = _compiled(cs)
-        width = n_procs + len(cs.instance.channels)
-        self.top = FIELD_BITS * width
-        self.shifts = range(0, self.top, FIELD_BITS)  # per key position
+        self.leaving, self.reads, shifts, self.fields, self.loc_masks = _compiled(cs)
+        self.shifts, self.top = shifts[:-1], shifts[-1]
         # Per key position: record -> id, and id -> record.
-        self.ids: list[dict] = [{} for _ in range(width)]
-        self.records: list[list] = [[] for _ in range(width)]
+        self.ids: list[dict] = [{} for _ in self.fields]
+        self.records: list[list] = [[] for _ in self.fields]
+        self.layout = tuple(zip(self.records, self.shifts, self.fields))
         # Per process: id -> mask of its view, and view -> its moves, each
         # move the delta it adds to a key, in successor order.
         self.mask_of: list[list[int]] = [[] for _ in range(n_procs)]
         self.moves: list[dict] = [{} for _ in range(n_procs)]
-        self.per_proc = tuple(zip(range(n_procs), self.shifts, self.mask_of, self.moves))
+        self.per_proc = tuple(zip(range(n_procs), shifts, self.fields, self.mask_of, self.moves))
         # Per process the atoms of `prop` read: the getter of the slots they
         # read, the shift of its class field, valuation -> class id, and
         # id -> class id.  A process has no more class ids than record ids,
-        # so its class ids fit a field too.
+        # so its class field is as wide as its record field.
         atoms = sorted(_atoms(prop))
         self.atoms = {i: itemgetter(*(s for j, s in atoms if j == i)) for i, _ in atoms}
-        self.class_shift = {i: self.top + FIELD_BITS * j for j, i in enumerate(self.atoms)}
+        widths = (self.fields[i].bit_length() for i in self.atoms)
+        self.class_shift = dict(zip(self.atoms, accumulate(widths, initial=self.top)))
         self.class_ids: dict[int, dict] = {i: {} for i in self.atoms}
         self.classes: list[list[int]] = [[] for _ in range(n_procs)]
         self.props: dict = {}
@@ -462,7 +483,7 @@ class _Collapsed:
         n = ids.get(record)
         if n is None:
             n = len(ids)
-            if n > FIELD:  # so many records could not be stored anyway
+            if n > self.fields[pos]:  # more records than its bound allows
                 raise MemoryError(f"record id {n} of key position {pos} does not fit its field")
             ids[record] = n
             self.records[pos].append(record)
@@ -479,33 +500,35 @@ class _Collapsed:
         return key + sum(self.classes[i][ids[i]] << s for i, s in self.class_shift.items())
 
     def decode(self, key: int) -> GlobalState:
-        records = tuple(rs[(key >> s) & FIELD] for rs, s in zip(self.records, self.shifts))
+        records = tuple(rs[(key >> s) & f] for rs, s, f in self.layout)
         return GlobalState(records[: self.n_procs], records[self.n_procs :])
 
     def _moves_of(self, i: int, key: int) -> tuple[int, ...]:
         """Process i's moves at `key`, each the delta that adds it: the change
         of its own record, of its class id if the proposition reads it, and of
-        every channel whose record the move replaced.  A replaced record equal
-        to the old one re-interns to the same id.  Each field a move changes
-        is in the process's view, or is its class id, which its own record
-        determines, so the delta depends on the view only."""
-        n, intern, records, classes = self.n_procs, self.intern, self.records, self.classes[i]
-        shift, chan_shifts = self.shifts[i], self.shifts[n:]
-        own = (key >> shift) & FIELD
-        old_ids = [(key >> s) & FIELD for s in chan_shifts]
-        chans = tuple(map(list.__getitem__, records[n:], old_ids))
-        class_shift = self.class_shift.get(i)
+        each channel its location reads whose record the move replaced (a
+        record equal to the old one re-interns to the same id); `_moves` sees
+        None for the other channels.  Each field a move changes is in the
+        view, or is the class id its own record determines, so the delta
+        depends on the view only."""
+        n, records, shifts, fields = self.n_procs, self.records, self.shifts, self.fields
+        own = (key >> shifts[i]) & fields[i]
+        proc = records[i][own]
+        chans: list = [None] * (len(records) - n)
+        old_ids = {}
+        for c in self.reads[i][proc[0]]:
+            old_ids[c] = old = (key >> shifts[n + c]) & fields[n + c]
+            chans[c] = records[n + c][old]
+        classes, class_shift = self.classes[i], self.class_shift.get(i)
         found = []
-        for t, vars_, post in _moves(self.leaving[i], records[i][own], chans):
-            new = intern(i, ProcState(t.dst, vars_))
-            delta = (new - own) << shift
+        for t, vars_, post in _moves(self.leaving[i], proc, chans):
+            new = self.intern(i, ProcState(t.dst, vars_))
+            delta = (new - own) << shifts[i]
             if class_shift is not None:
                 delta += (classes[new] - classes[own]) << class_shift
-            for pos, s, record, old_record, old in zip(
-                range(n, len(records)), chan_shifts, post, chans, old_ids
-            ):
-                if record is not old_record:
-                    delta += (intern(pos, record) - old) << s
+            for c, old in old_ids.items():
+                if post[c] is not chans[c]:
+                    delta += (self.intern(n + c, post[c]) - old) << shifts[n + c]
             found.append(delta)
         return tuple(found)
 
@@ -514,8 +537,8 @@ class _Collapsed:
         key, in its order; empty at a deadlock.  `_search` does the same
         lookups inline."""
         out = []
-        for i, shift, mask_of, moves in self.per_proc:
-            view = key & mask_of[(key >> shift) & FIELD]
+        for i, shift, field, mask_of, moves in self.per_proc:
+            view = key & mask_of[(key >> shift) & field]
             deltas = moves.get(view)
             if deltas is None:
                 deltas = moves[view] = self._moves_of(i, key)
@@ -589,8 +612,8 @@ def _search(space: _Collapsed, init: int, pattern: str, max_states: int) -> Verd
                 if test_each and notp(key):
                     return _refuted(space, parents, init, key, lasso=False)
                 moved = False
-                for i, shift, mask_of, moves in per_proc:
-                    view = key & mask_of[(key >> shift) & FIELD]
+                for i, shift, field, mask_of, moves in per_proc:
+                    view = key & mask_of[(key >> shift) & field]
                     deltas = moves.get(view)
                     if deltas is None:
                         deltas = moves[view] = moves_of(i, key)

@@ -604,6 +604,72 @@ def test_state_limit_exceeded():
         check_spec(built.woven, spec, max_states=50)
 
 
+def test_the_state_bound_admits_exactly_that_many_states():
+    """`G (true)` on 2pc_allfaults finds 6,680 states: a bound of 6,680
+    passes with all of them, and a bound one lower is exceeded."""
+    cs = build_model(corpus_source("2pc_allfaults")).woven
+    spec = spec_of("G", PBool(True))
+    assert check_spec(cs, spec, max_states=6_680).states_explored == 6_680
+    with pytest.raises(StateLimitExceeded):
+        check_spec(cs, spec, max_states=6_679)
+
+
+def test_keys_of_a_corpus_model_fit_one_machine_word():
+    """Key fields are sized from static bounds, not a fixed width: every
+    state of 2pc_allfaults under its own proposition packs into 64 bits,
+    and decodes back to itself."""
+    built = build_model(corpus_source("2pc_allfaults"))
+    cs = built.woven
+    _, prop = extract_pattern(built.system.ltl_specs[0].formula)
+    assert checker._atoms(prop)
+    space = checker._Collapsed(cs, prop)
+    _, graph = build_graph(cs)
+    for state in graph:
+        key = space.encode(state)
+        assert key.bit_length() <= 64
+        assert space.decode(key) == state
+
+
+_HUGE_QUEUES = """data One { X }
+proc Producer(q channel [999999999] { bool }, u channel [999999999] { One }) {
+  send(q, true)
+  send(u, X)
+  send(q, false)
+}
+proc Consumer(q channel [999999999] { bool }, u channel [999999999] { One }) {
+  var v bool
+  var w One
+  recv(q, v)
+  recv(u, w)
+  recv(q, v)
+}
+init {
+  q: channel [999999999] { bool },
+  u: channel [999999999] { One },
+  p: Producer(q, u) @shutdown,
+  c: Consumer(q, u),
+}
+ltl { G (!c.v) }
+ltl { G (true) }
+ltl { F (false) }
+"""
+
+
+def test_a_huge_buffer_capacity_costs_nothing_before_the_search():
+    """A key field's bound stops growing once it passes the widest field, so
+    a capacity near the parser's limit, with a two- or one-valued payload,
+    is checked as fast as its few reachable queues allow."""
+    built = build_model(_HUGE_QUEUES)
+    verdicts = [check_spec(built.woven, spec) for spec in built.system.ltl_specs]
+    assert [(v.result, v.states_explored) for v in verdicts] == [
+        (Result.FAIL, 26), (Result.PASS, 36), (Result.FAIL, 21)
+    ]
+    assert [len(v.counterexample.prefix) for v in (verdicts[0], verdicts[2])] == [4, 3]
+    assert format_trace(built.woven, verdicts[0].counterexample).splitlines()[-2:] == [
+        "    c.v = true", "    q.queue = []"
+    ]
+
+
 def test_a_record_id_past_its_key_field_is_out_of_memory(monkeypatch):
     """A record id that would not fit its key field raises MemoryError with
     the states found so far, rather than spill into the next field; with
