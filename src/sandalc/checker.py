@@ -62,6 +62,7 @@ trace printer looks its name up.
 from __future__ import annotations
 
 import enum
+from functools import cache, partial
 from itertools import accumulate
 from math import prod
 from operator import itemgetter
@@ -669,67 +670,77 @@ def check_spec(
 
 
 def replay(cs: CompiledSystem, cex: Counterexample) -> None:
-    """Re-run a counterexample from the initial state; raises on any mismatch."""
+    """Re-run a counterexample from the initial state; raises on any mismatch.
+    A step is checked against the moves of the process it names alone."""
     state = initial_state(cs)
     if state != cex.initial:
         raise ReplayError("recorded initial state differs")
+    leaving = _compiled(cs).leaving
     for k, step in enumerate(cex.prefix + (cex.loop or ())):
-        for proc, label, nxt in successors(cs, state):
-            if proc == step.proc and label == step.label and nxt == step.state:
-                state = nxt
-                break
+        (procs, chans), i = state, step.proc
+        if i is None:  # the stutter step, taken only where no process can move
+            moved = successor_transitions(cs, state)
+            ok = step.label == STUTTER_LABEL and step.state == state and not moved
         else:
+            ok = i in range(len(procs)) and any(
+                t.label == step.label and step.state
+                == GlobalState(procs[:i] + (ProcState(t.dst, vars_),) + procs[i + 1 :], post)
+                for t, vars_, post in _moves(leaving[i], procs[i], chans))
+        if not ok:
             raise ReplayError(f"step {k + 1} ({step.label}) cannot be replayed")
+        state = step.state
     if cex.loop:
         loop_head = cex.prefix[-1].state if cex.prefix else cex.initial
         if state != loop_head:
             raise ReplayError("loop does not close back on its head state")
 
 
-def _state_fields(cs: CompiledSystem, state: GlobalState) -> dict[str, str]:
-    fields: dict[str, str] = {}
-    for proc, ps, automaton in zip(cs.instance.processes, state.procs, cs.automata):
-        loc = "shutdown" if ps.loc == automaton.shutdown_loc else str(ps.loc)
-        fields[f"{proc.name}.@loc"] = loc
-        for slot, value in zip(automaton.locals, ps.vars):
-            fields[f"{proc.name}.{slot.name}"] = render_value(value)
-    for chan, chan_state in zip(cs.instance.channels, state.chans):
-        if isinstance(chan_state, RvState):
-            fields[f"{chan.name}.ready"] = render_value(chan_state.ready)
-            fields[f"{chan.name}.received"] = render_value(chan_state.received)
-            buf = (
-                "-"
-                if chan_state.buf is None
-                else "(" + ", ".join(render_value(v) for v in chan_state.buf) + ")"
-            )
-            fields[f"{chan.name}.buffer"] = buf
-        else:
-            items = ", ".join(
-                "(" + ", ".join(render_value(v) for v in item) + ")"
-                for item in chan_state.queue
-            )
-            fields[f"{chan.name}.queue"] = f"[{items}]"
-    return fields
+def _record_fields(cs: CompiledSystem, pos: int, rec) -> list[tuple[str, str]]:
+    """The rendered fields of the record `rec` at key position `pos`
+    (processes, then channels), in trace order."""
+    n = len(cs.automata)
+    if pos < n:
+        proc, automaton = cs.instance.processes[pos], cs.automata[pos]
+        loc = "shutdown" if rec.loc == automaton.shutdown_loc else str(rec.loc)
+        return [(f"{proc.name}.@loc", loc)] + [
+            (f"{proc.name}.{slot.name}", render_value(value))
+            for slot, value in zip(automaton.locals, rec.vars)
+        ]
+    name = cs.instance.channels[pos - n].name
+    if isinstance(rec, RvState):
+        buf = "-" if rec.buf is None else "(" + ", ".join(map(render_value, rec.buf)) + ")"
+        return [
+            (f"{name}.ready", render_value(rec.ready)),
+            (f"{name}.received", render_value(rec.received)),
+            (f"{name}.buffer", buf),
+        ]
+    items = ", ".join("(" + ", ".join(map(render_value, item)) + ")" for item in rec.queue)
+    return [(f"{name}.queue", f"[{items}]")]
 
 
 def format_trace(cs: CompiledSystem, cex: Counterexample) -> str:
-    """Numbered steps with changed-variable diffs; lassos end in a LOOP line."""
+    """Numbered steps with changed-variable diffs; lassos end in a LOOP line.
+    Each distinct record at a position is rendered once, and a step diffs
+    only the positions whose record it changed."""
+    fields = cache(partial(_record_fields, cs))
     names = [p.name for p in cs.instance.processes]
-    lines = ["counterexample:"]
-    prev_fields = _state_fields(cs, cex.initial)
-    lines.append("  initial: " + ", ".join(f"{k}={v}" for k, v in prev_fields.items()))
+    prev = cex.initial.procs + cex.initial.chans
+    initial = ", ".join(f"{k}={v}" for pos, rec in enumerate(prev) for k, v in fields(pos, rec))
+    lines = ["counterexample:", "  initial: " + initial]
     steps = list(cex.prefix) + list(cex.loop or ())
     for k, step in enumerate(steps, start=1):
-        marker = ""
-        if cex.loop and k == len(cex.prefix) + 1:
-            marker = " (loop starts)"
+        marker = " (loop starts)" if cex.loop and k == len(cex.prefix) + 1 else ""
         name = STUTTER_NAME if step.proc is None else names[step.proc]
         lines.append(f"#{k} {name}: {step.label}{marker}")
-        fields = _state_fields(cs, step.state)
-        for key, value in fields.items():
-            if prev_fields[key] != value:
-                lines.append(f"    {key} = {value}")
-        prev_fields = fields
+        records = step.state.procs + step.state.chans
+        for pos, (old, new) in enumerate(zip(prev, records)):
+            if old != new:
+                lines.extend(
+                    f"    {key} = {value}"
+                    for (key, value), (_, was) in zip(fields(pos, new), fields(pos, old))
+                    if value != was
+                )
+        prev = records
     if cex.loop:
         lines.append(f"LOOP back to step #{len(cex.prefix)}")
     return "\n".join(lines) + "\n"

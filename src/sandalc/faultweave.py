@@ -59,6 +59,8 @@ def weave_drop(
 ) -> tuple[tuple[ProcessAutomaton, ...], dict[str, int]]:
     """Give every send over a dropped channel a skip edge. Returns counts per channel."""
     counts = {chan.name: 0 for chan in system.channels if chan.drop_fault}
+    if not counts:
+        return automata, counts
     woven = []
     for automaton in automata:
         sends = [

@@ -31,8 +31,6 @@ skips forward over a send.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from . import sema
 from . import syntax as ast
 from .errors import NO_POS, Pos
@@ -168,7 +166,7 @@ class Transition:
         """normal | timeout | drop | shutdown, fixed by the kind."""
         return _FAULT_TAGS.get(self.kind, NORMAL)
 
-    @cached_property
+    @property
     def label(self) -> str:
         pos_part = "" if self.pos == NO_POS else f" @{self.pos}"
         return f"{self.desc}{pos_part} [{self.kind}]"
@@ -193,6 +191,7 @@ class ProcessAutomaton:
 class CompiledSystem:
     """A checked model together with one automaton per process, in order."""
 
+    __slots__ = ("__dict__",)  # checker._compiled keeps its per-model tables here
     instance: CheckedModel
     automata: tuple[ProcessAutomaton, ...]
 

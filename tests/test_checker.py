@@ -861,6 +861,27 @@ def test_replay_detects_forged_counterexamples():
             replay(cs, forged)
 
 
+def test_replay_checks_a_step_against_the_process_it_names():
+    """A first step naming no process, naming another process than the one
+    whose move it records, or with a label that no move has, and a stutter
+    where a process can move, are all refused as unreplayable."""
+    from sandalc.checker import STUTTER_LABEL, ReplayError
+
+    built = build_model(corpus_source("2pc_shutdown"))
+    cex = check_spec(built.woven, built.system.ltl_specs[0]).counterexample
+    first, n = cex.prefix[0], len(cex.initial.procs)
+    replay(built.woven, Counterexample(cex.initial, (first,), None))
+    for forged in (
+        Step(n, first.label, first.state),
+        Step(-1, first.label, first.state),
+        Step((first.proc + 1) % n, first.label, first.state),
+        Step(first.proc, first.label + "x", first.state),
+        Step(None, STUTTER_LABEL, cex.initial),
+    ):
+        with pytest.raises(ReplayError, match="step 1 .* cannot be replayed"):
+            replay(built.woven, Counterexample(cex.initial, (forged,), None))
+
+
 def test_trace_format():
     built = build_model(corpus_source("2pc_shutdown"))
     spec = built.system.ltl_specs[0]

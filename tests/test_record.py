@@ -7,6 +7,7 @@ over records does not depend on how the classes are built.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -68,7 +69,7 @@ def test_frozen_assignment_raises():
         with pytest.raises(AttributeError):
             delattr(obj, field)
     assert name.ident == "x" and t.dst == 1
-    assert t.label == "d [k]" and t.__dict__["label"] == "d [k]"  # cached_property
+    assert t.label == "d [k]"
 
 
 def test_template_info_and_checked_model_are_frozen_and_unhashable():
@@ -150,3 +151,26 @@ def test_every_record_field_is_read():
     ]
     assert len(fields) > 100
     assert sorted(f for f in fields if f.split(".")[1] not in read) == sorted(UNREAD_FIELDS)
+
+
+def test_records_keep_their_fields_in_slots():
+    """Every record class in src/sandalc lists exactly its own fields in
+    `__slots__`, so no field has two slots along its MRO, and its instances
+    have no `__dict__`; CompiledSystem alone declares one, for the tables the
+    checker builds on first use."""
+    classes = [
+        getattr(importlib.import_module(f"sandalc.{path.stem}"), node.name)
+        for path in (ROOT / "src" / "sandalc").glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(d, ast.Name) and d.id == "record" for d in node.decorator_list)
+    ]
+    assert len(classes) > 60
+    for cls in classes:
+        inherited = getattr(cls.__mro__[1], "__record_fields__", {})
+        own = tuple(n for n in cls.__record_fields__ if n not in inherited)
+        has_dict = cls is ir.CompiledSystem
+        assert cls.__dict__["__slots__"] == ("__dict__",) * has_dict + own, cls
+        slots = [n for base in cls.__mro__ for n in base.__dict__.get("__slots__", ())]
+        assert sorted(n for n in slots if n != "__dict__") == sorted(cls.__record_fields__), cls
+        assert (cls.__dictoffset__ != 0) == has_dict, cls

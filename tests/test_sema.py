@@ -148,7 +148,8 @@ def test_ltl_atoms_resolve_to_process_and_slot():
     def walk(p):
         if isinstance(p, PAtom):
             atoms.append(p)
-        for child in getattr(p, "__dict__", {}).values():
+        for field in p.__record_fields__:
+            child = getattr(p, field)
             if hasattr(child, "__record_fields__"):
                 walk(child)
 
