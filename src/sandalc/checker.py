@@ -533,19 +533,6 @@ class _Collapsed:
             found.append(delta)
         return tuple(found)
 
-    def successor_keys(self, key: int) -> list[int]:
-        """The keys of the process steps `successors` takes from the decoded
-        key, in its order; empty at a deadlock.  `_search` does the same
-        lookups inline."""
-        out = []
-        for i, shift, field, mask_of, moves in self.per_proc:
-            view = key & mask_of[(key >> shift) & field]
-            deltas = moves.get(view)
-            if deltas is None:
-                deltas = moves[view] = self._moves_of(i, key)
-            out += [key + delta for delta in deltas]
-        return out
-
     def negation(self) -> Callable[[int], bool]:
         """`not eval_prop(prop, state)` as a function of a key, memoized on
         the key's class fields, `key >> top`, so `eval_prop` runs once per

@@ -304,12 +304,15 @@ class _TemplateChecker:
         raise NameResolutionError(f"unknown name '{name}'", pos)
 
     def _declare(self, decl: ast.VarDecl, body_level: bool) -> None:
+        init_ty = None if decl.init is None else self._check_rhs(decl.init)
         scope = self.scopes[-1]
         if decl.name in scope:
             raise NameResolutionError(
                 f"'{decl.name}' is already declared in this scope", decl.pos
             )
         ty = _value_type_from_node(decl.type, self.enums)
+        if init_ty is not None and init_ty != ty:
+            raise TypeCheckError(f"initializer has type {init_ty}, variable is {ty}", decl.pos)
         slot = len(self.info.slots)
         display = decl.name
         n = 2
@@ -333,13 +336,6 @@ class _TemplateChecker:
 
     def _check_stmt(self, stmt: ast.Stmt, body_level: bool = False) -> None:
         if isinstance(stmt, ast.VarDecl):
-            if stmt.init is not None:
-                init_ty = self._check_rhs(stmt.init)
-                decl_ty = _value_type_from_node(stmt.type, self.enums)
-                if init_ty != decl_ty:
-                    raise TypeCheckError(
-                        f"initializer has type {init_ty}, variable is {decl_ty}", stmt.pos
-                    )
             self._declare(stmt, body_level)
         elif isinstance(stmt, ast.Assign):
             binding = self._lookup(stmt.name, stmt.pos)

@@ -3,12 +3,13 @@
 Three references live here:
 
 * HandshakeSim is a from-scratch simulator of the rendezvous handshake
-  (ready flag, received flag, one-slot buffer, three-step exchange) and of
-  the two declared faults, written from README's fault text: a crash
-  process may shut down at any point, and a send on a lossy channel may be
-  dropped.  It shares no code with the package's lowering, weaver or
-  checker and is used to confirm the reachable state graph of small
-  systems edge by edge.
+  (ready flag, received flag, one-slot buffer, three-step exchange), of
+  `timeout_recv` and of the two declared faults, written from README's
+  fault text: a crash process may shut down at any point, a send on a
+  lossy channel may be dropped, and a timeout receive may fail even when a
+  sender stands ready.  It shares no code with the package's lowering,
+  weaver or checker and is used to confirm the reachable state graph of
+  small systems edge by edge.
 
 * naive_verdict computes PASS/FAIL for G/F/FG/GF specs by building the full
   reachable graph and analyzing its cycles directly, instead of the
@@ -60,6 +61,11 @@ class HandshakeSim:
       ("send_fire", chan, value)      needs !ready; sets ready and the buffer
       ("send_done", chan)             needs received; resets the channel
       ("recv", chan, local_index)     needs ready & !received; copies buffer
+      ("timeout_recv", chan, local_index, result_index)
+                                      two steps: timeout_ok is a recv that
+                                      also sets the result local True;
+                                      timeout_fail is always enabled and
+                                      only sets the result local False
 
     Faults, as extra steps of kind:
       shutdown    a process in `crash` that has not crashed moves to one
@@ -110,7 +116,16 @@ class HandshakeSim:
                 out.append(((i, "drop"), self._jump(state, i, pc + 2)))
             chans = list(state.chans)
             vars_ = [list(v) for v in state.vars]
-            if kind == "var":
+            if kind == "timeout_recv":
+                vars_[i][op[3]] = False
+                out.append(((i, "timeout_fail"), self._moved(state, i, vars_, chans)))
+                chan = state.chans[op[1]]
+                if not (chan.ready and not chan.received):
+                    continue
+                vars_[i][op[2]], vars_[i][op[3]] = chan.buf, True
+                chans[op[1]] = SimChan(ready=True, received=True, buf=chan.buf)
+                kind = "timeout_ok"
+            elif kind == "var":
                 vars_[i][op[1]] = False
             elif kind == "send_fire":
                 chan = state.chans[op[1]]
@@ -129,15 +144,14 @@ class HandshakeSim:
                 chans[op[1]] = SimChan(ready=True, received=True, buf=chan.buf)
             else:  # pragma: no cover
                 raise ValueError(f"unknown op {op!r}")
-            pcs = list(state.pcs)
-            pcs[i] = pc + 1
-            nxt = SimState(
-                pcs=tuple(pcs),
-                vars=tuple(tuple(v) for v in vars_),
-                chans=tuple(chans),
-            )
-            out.append(((i, kind), nxt))
+            out.append(((i, kind), self._moved(state, i, vars_, chans)))
         return out
+
+    @staticmethod
+    def _moved(state: SimState, i: int, vars_: list[list], chans: list) -> SimState:
+        """`state` with process i one op further on, over `vars_` and `chans`."""
+        pcs = state.pcs[:i] + (state.pcs[i] + 1,) + state.pcs[i + 1 :]
+        return SimState(pcs, tuple(tuple(v) for v in vars_), tuple(chans))
 
     @staticmethod
     def _jump(state: SimState, i: int, pc: int) -> SimState:

@@ -401,18 +401,24 @@ COLLAPSE_MODELS = {
 
 @pytest.mark.parametrize("name", COLLAPSE_MODELS)
 def test_collapsed_expansion_equals_successors(name):
-    """The search's moves, memoized per process on its local view, reach the
-    states of `successors`, in its order, from every reachable state; a
-    deadlock has no successor key, where `successors` stutters."""
+    """The moves `_search` stored, memoized per process on its local view,
+    reach the states of `successors`, in its order, from every reachable
+    state; a deadlock has no move, where `successors` stutters."""
     cs = build_model(COLLAPSE_MODELS[name]).woven
     _, graph = build_graph(cs)
     space = checker._Collapsed(cs, PBool(True))
+    init = space.encode(initial_state(cs))
+    verdict = checker._search(space, init, "G", checker.DEFAULT_MAX_STATES)
+    assert verdict.states_explored == len(graph)
     for state, succs in graph.items():
         key = space.encode(state)
         assert space.decode(key) == state
-        expanded = [space.decode(nxt) for nxt in space.successor_keys(key)]
+        expanded = [
+            space.decode(key + delta)
+            for _, shift, field, mask_of, moves in space.per_proc
+            for delta in moves[key & mask_of[(key >> shift) & field]]
+        ]
         assert expanded == [nxt for i, _, nxt in succs if i is not None]
-    assert check_spec(cs, spec_of("G", PBool(True))).states_explored == len(graph)
 
 
 def _props_over_locals(cs):
@@ -470,17 +476,11 @@ def test_class_fields_tell_apart_exactly_the_atom_valuations(name):
     atoms = sorted(checker._atoms(prop))
     assert len({i for i, _ in atoms}) >= 2
     space = checker._Collapsed(cs, prop)
-    init = space.encode(initial_state(cs))
-    seen, frontier = {init}, deque([init])
-    while frontier:
-        for nxt in space.successor_keys(frontier.popleft()):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
+    _, graph = build_graph(cs)
     class_of = {}
-    for key in seen:
-        assert space.encode(space.decode(key)) == key
-        state = space.decode(key)
+    for state in graph:
+        key = space.encode(state)
+        assert space.decode(key) == state
         valuation = tuple(state.procs[i].vars[slot] for i, slot in atoms)
         assert class_of.setdefault(valuation, key >> space.top) == key >> space.top
     assert len(set(class_of.values())) == len(class_of) > 1

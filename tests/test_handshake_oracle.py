@@ -1,6 +1,6 @@
-"""Cross-checks the lowered handshake semantics, and the woven shutdown and
-drop faults, against an independent brute-force simulator (see
-oracles.HandshakeSim) by graph isomorphism."""
+"""Cross-checks the lowered handshake semantics, `timeout_recv`, and the
+woven shutdown and drop faults, against an independent brute-force
+simulator (see oracles.HandshakeSim) by graph isomorphism."""
 
 from itertools import combinations
 
@@ -18,6 +18,8 @@ KIND_MAP = {
     "send.fire": "send_fire",
     "send.done": "send_done",
     "recv": "recv",
+    "timeout.ok": "timeout_ok",
+    "timeout.fail": "timeout_fail",
     "shutdown": "shutdown",
     "drop": "drop",
 }
@@ -36,6 +38,19 @@ TWO_SENDERS = (
     "init {\n"
     "  s1: Sender(c),\n"
     "  s2: Sender(c),\n"
+    "  r: Receiver(c),\n"
+    "  c: channel { bool },\n"
+    "}\n"
+)
+
+TIMEOUT_RECEIVER = (
+    "proc Sender(ch channel { bool }) { send(ch, true) }\n"
+    "proc Receiver(ch channel { bool }) {\n"
+    "  var v bool\n"
+    "  var ok bool = timeout_recv(ch, v)\n"
+    "}\n"
+    "init {\n"
+    "  s: Sender(c),\n"
     "  r: Receiver(c),\n"
     "  c: channel { bool },\n"
     "}\n"
@@ -103,6 +118,14 @@ FAULT_MODELS = {
         + [[("var", 0), ("var", 1), ("recv", 0, 0), ("recv", 0, 1)]],
         [0, 0, 2],
         (TWO_SENDER_STATE_COUNT, 154),
+    ),
+    "timeout_receiver": (
+        TIMEOUT_RECEIVER,
+        [("s", "shutdown", 0), ("r", "shutdown", 1), ("c", "drop", 0)],
+        [[("send_fire", 0, True), ("send_done", 0)],
+         [("var", 0), ("timeout_recv", 0, 0, 1)]],
+        [0, 2],
+        (8, 28),
     ),
 }
 FAULT_CASES = [

@@ -130,14 +130,25 @@ UNREAD_FIELDS = {
     "BuildResult.unwoven",
 }
 
+# Functions that nothing in src/ or bench/ names, each kept for its reason.
+UNNAMED_FUNCTIONS = {
+    # README documents it as the public name-to-path map of the bundled corpus.
+    "corpus.corpus",
+}
+
+
+def _src_and_bench_nodes():
+    """Every syntax node of every module in src/ and bench/."""
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]:
+        yield from ast.walk(ast.parse(path.read_text()))
+
 
 def test_every_record_field_is_read():
     """Every field of a record class in src/sandalc is read, as an attribute,
     somewhere in src/ or bench/: a field nothing reads is dead weight."""
     read = {
         node.attr
-        for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]
-        for node in ast.walk(ast.parse(path.read_text()))
+        for node in _src_and_bench_nodes()
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
     fields = [
@@ -151,6 +162,36 @@ def test_every_record_field_is_read():
     ]
     assert len(fields) > 100
     assert sorted(f for f in fields if f.split(".")[1] not in read) == sorted(UNREAD_FIELDS)
+
+
+def test_every_function_is_referenced_outside_tests():
+    """Every function or method in src/sandalc, dunders aside, is named
+    somewhere in src/ or bench/: loaded as a name or an attribute, imported,
+    or spelled as a string (the bench's tracer names its hooks so).  A
+    function that only tests call is a copy of the code that runs, and the
+    tests then check the copy."""
+    named = set()
+    for node in _src_and_bench_nodes():
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.add(node.value)
+    functions = [
+        (f"{path.parent.name if path.stem == '__init__' else path.stem}.{node.name}", node.name)
+        for path in (ROOT / "src" / "sandalc").rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+    ]
+    assert len(functions) > 150
+    unnamed = [
+        where for where, name in functions
+        if name not in named and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert sorted(unnamed) == sorted(UNNAMED_FUNCTIONS)
 
 
 def test_records_keep_their_fields_in_slots():

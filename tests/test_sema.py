@@ -481,6 +481,12 @@ DECLARATION_DIAGNOSTICS = [
      NameResolutionError, "4:7", "unknown name 'y'"),
     ("init_type", in_body("var ok bool = A"),
      TypeCheckError, "4:3", "initializer has type V, variable is bool"),
+    # A duplicate `var` is reported before its type is resolved, with or
+    # without an initializer.
+    ("dup_var_unknown_type", in_body("var x Nope"),
+     NameResolutionError, "4:3", "'x' is already declared in this scope"),
+    ("dup_var_init_unknown_type", in_body("var x Nope = true"),
+     NameResolutionError, "4:3", "'x' is already declared in this scope"),
     ("assign_type", in_body("x = true"),
      TypeCheckError, "4:3", "cannot assign bool to 'x' of type V"),
     ("send_arity", in_body("send(c, A, B)"),
